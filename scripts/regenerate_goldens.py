@@ -2,8 +2,10 @@
 """Regenerate the committed golden CLI reports in tests/golden/.
 
 The goldens pin the exact bytes of `sensor-shapley analyze --scenario N
---format json` with the default metric. Rerun after any intentional change
-to report content or rendering, and eyeball the diff before committing.
+--format json` with the default metric, plus scenario 2 with the trace
+metric and with permutation sampling (2000 orderings, seed 0). Rerun after
+any intentional change to report content or rendering, and eyeball the diff
+before committing.
 """
 
 import contextlib
@@ -25,11 +27,21 @@ def capture(argv) -> str:
     return out.getvalue()
 
 
+GOLDENS = {
+    "analyze_scenario1.json": ["--scenario", "1"],
+    "analyze_scenario2.json": ["--scenario", "2"],
+    "analyze_scenario2_trace.json": ["--scenario", "2", "--metric", "trace"],
+    "analyze_scenario2_sampled.json": [
+        "--scenario", "2", "--sample", "2000", "--seed", "0",
+    ],
+}
+
+
 def regenerate() -> None:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    for sid in (1, 2):
-        text = capture(["analyze", "--scenario", str(sid), "--format", "json"])
-        path = GOLDEN_DIR / f"analyze_scenario{sid}.json"
+    for name, argv in GOLDENS.items():
+        text = capture(["analyze", *argv, "--format", "json"])
+        path = GOLDEN_DIR / name
         path.write_text(text, encoding="utf-8")
         print(f"wrote {path} ({len(text)} bytes)")
 

@@ -11,19 +11,17 @@ parsing plus report rendering (:mod:`~sensor_shapley.report`). The
 
 from .gramian import (
     Gramian,
-    GramianBank,
-    ObservabilityMatrix,
-    coalition_gramian,
+    coalition_gramians,
     gramian_direct,
     is_observable,
     observability_matrix,
+    pack_masks,
     per_sensor_gramians,
     symmetric_eigenvalues,
 )
 from .metrics import (
-    CoalitionValue,
-    CoalitionValueTable,
     ValueFunctionKind,
+    coalition_values,
     evaluate,
     value_table,
 )
@@ -34,7 +32,6 @@ from .model import (
     LtiModel,
     Sensor,
     ValidationResult,
-    enumerate_subcoalitions,
     full_coalition,
     require_valid,
     validate_model,
@@ -62,7 +59,6 @@ from .shapley import (
     shapley_permutation_oracle,
     shapley_sampled,
     shapley_weight,
-    standalone_deviations,
     verify_axioms,
 )
 
@@ -75,15 +71,11 @@ __all__ = [
     "AttributionResult",
     "AxiomReport",
     "Coalition",
-    "CoalitionValue",
-    "CoalitionValueTable",
     "EnumerationCapExceeded",
     "Gramian",
-    "GramianBank",
     "LtiModel",
     "ModelDocument",
     "ModelDocumentError",
-    "ObservabilityMatrix",
     "ReportDocument",
     "Sensor",
     "SensorAttribution",
@@ -91,14 +83,15 @@ __all__ = [
     "ValidationResult",
     "ValueFunctionKind",
     "build_report",
-    "coalition_gramian",
+    "coalition_gramians",
+    "coalition_values",
     "emit_scenarios",
-    "enumerate_subcoalitions",
     "evaluate",
     "full_coalition",
     "gramian_direct",
     "is_observable",
     "observability_matrix",
+    "pack_masks",
     "parse_model",
     "parse_model_document",
     "per_sensor_gramians",
@@ -112,7 +105,6 @@ __all__ = [
     "shapley_permutation_oracle",
     "shapley_sampled",
     "shapley_weight",
-    "standalone_deviations",
     "symmetric_eigenvalues",
     "validate_model",
     "value_table",

@@ -21,14 +21,16 @@ import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .gramian import (
-    coalition_gramian,
-    gramian_direct,
+    coalition_gramians,
     is_observable,
+    pack_masks,
     per_sensor_gramians,
 )
 from .metrics import ValueFunctionKind, evaluate
-from .model import Coalition, EnumerationCapExceeded, full_coalition, validate_model
+from .model import EnumerationCapExceeded, validate_model
 from .report import (
     ModelDocument,
     ModelDocumentError,
@@ -168,9 +170,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             _fail(str(err))
             return 3
         axioms = verify_axioms(model, kind, result)
-    observable = is_observable(
-        gramian_direct(model, full_coalition(model)), args.tolerance
-    )
+    observable = is_observable(result.grand_gramian, args.tolerance)
     report = build_report(doc.name or "model", result, observable, axioms)
     rendered = render_json(report) if args.format == "json" else render_table(report)
     sys.stdout.write(rendered)
@@ -180,25 +180,19 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     model = doc.model
-    bank = per_sensor_gramians(model)
-    full = full_coalition(model)
-    labelled = [("full coalition", full)]
-    labelled += [
-        (f"sensor {s.name}", Coalition((i,))) for i, s in enumerate(model.sensors)
-    ]
-    full_ok = False
-    for label, coalition in labelled:
-        gram = coalition_gramian(bank, coalition)
-        ok = is_observable(gram, args.tolerance)
-        if coalition == full:
-            full_ok = ok
-        min_eig = evaluate(ValueFunctionKind.MIN_EIGENVALUE, gram)
-        trace = evaluate(ValueFunctionKind.TRACE, gram)
+    p = model.sensor_count
+    labels = ["full coalition"] + [f"sensor {s.name}" for s in model.sensors]
+    members = np.vstack([np.ones(p, dtype=bool), np.eye(p, dtype=bool)])
+    stack = coalition_gramians(per_sensor_gramians(model), pack_masks(members))
+    verdicts = is_observable(stack, args.tolerance)
+    min_eigs = evaluate(ValueFunctionKind.MIN_EIGENVALUE, stack)
+    traces = evaluate(ValueFunctionKind.TRACE, stack)
+    for label, ok, min_eig, trace in zip(labels, verdicts, min_eigs, traces):
         print(
             f"{label}: observable={'yes' if ok else 'no'}  "
             f"min_eigenvalue={min_eig:.10g}  trace={trace:.10g}"
         )
-    return 0 if full_ok else 1
+    return 0 if verdicts[0] else 1
 
 
 def _cmd_emit(args: argparse.Namespace) -> int:

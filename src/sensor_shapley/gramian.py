@@ -8,10 +8,11 @@ observability Gramian is
 
 W_S is symmetric positive semidefinite and additive over sensors:
 W_S = sum of the single-sensor Gramians of the members of S. That additivity
-is what makes coalition values cheap: the per-sensor Gramians are built once
-(``per_sensor_gramians``) and every coalition Gramian is an n x n sum
-(``coalition_gramian``). ``gramian_direct`` keeps the definition-level
-construction around as the independent cross-check.
+is what makes coalition values cheap: the bank of per-sensor Gramians is
+built once (``per_sensor_gramians``, a ``(p, n, n)`` array) and the Gramians
+of any batch of coalitions, given as membership bitmasks, are stacked n x n
+sums of bank members (``coalition_gramians``). ``gramian_direct`` keeps the
+definition-level construction around as the independent cross-check.
 
 The system is observable over the window iff the full-coalition Gramian is
 positive definite, i.e. its minimum eigenvalue is strictly positive.
@@ -23,20 +24,18 @@ are deterministic for a given input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .model import Coalition, LtiModel, members_in_range, require_valid
+from .model import Coalition, LtiModel, require_valid
 
 __all__ = [
     "Gramian",
-    "GramianBank",
-    "ObservabilityMatrix",
-    "coalition_gramian",
+    "coalition_gramians",
     "gramian_direct",
     "is_observable",
     "observability_matrix",
+    "pack_masks",
     "per_sensor_gramians",
     "symmetric_eigenvalues",
 ]
@@ -85,7 +84,7 @@ class Gramian:
     Construction symmetrizes the entries as (M + M^T)/2 to absorb
     floating-point drift, then rejects inputs that are asymmetric beyond
     tolerance or have an eigenvalue below -max(PSD_RTOL * lambda_max,
-    PSD_FLOOR). Eigenvalues are computed once and cached.
+    PSD_FLOOR). These are the checks every Gramian entering the bank passes.
     """
 
     entries: np.ndarray
@@ -96,7 +95,7 @@ class Gramian:
         sym = (m + m.T) / 2.0
         sym.setflags(write=False)
         object.__setattr__(self, "entries", sym)
-        eigs = self.eigenvalues  # computes and caches; validates PSD below
+        eigs = np.linalg.eigvalsh(sym)
         tol = max(PSD_RTOL * float(eigs[-1]), PSD_FLOOR)
         if float(eigs[0]) < -tol:
             raise ValueError(
@@ -104,143 +103,145 @@ class Gramian:
                 f"semidefinite (minimum eigenvalue {eigs[0]:.6e})"
             )
 
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues, computed once per instance."""
-        eigs = np.linalg.eigvalsh(self.entries)
-        eigs.setflags(write=False)
-        return eigs
-
-    @property
-    def state_dimension(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class ObservabilityMatrix:
-    """Stacked blocks C_S A^k for k = 0..K, with (K+1) * |S| rows."""
-
-    entries: np.ndarray
-    coalition: Coalition
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-
-@dataclass(frozen=True, eq=False)
-class GramianBank:
-    """The p single-sensor Gramians of a model, index-aligned with its sensors.
-
-    Built once per model; every coalition Gramian is then an entrywise sum of
-    bank members.
-    """
-
-    per_sensor: tuple[Gramian, ...]
-    horizon_samples: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "per_sensor", tuple(self.per_sensor))
-        if not self.per_sensor:
-            raise ValueError("GramianBank requires at least one sensor Gramian")
-        for i, g in enumerate(self.per_sensor):
-            if g.coalition != Coalition((i,)):
-                raise ValueError(
-                    f"per_sensor[{i}] holds the Gramian of coalition "
-                    f"{g.coalition}, expected {{{i}}}"
-                )
-        n = self.per_sensor[0].state_dimension
-        if any(g.state_dimension != n for g in self.per_sensor):
-            raise ValueError("per-sensor Gramians have inconsistent dimensions")
-
-    @property
-    def sensor_count(self) -> int:
-        return len(self.per_sensor)
-
-    @property
-    def state_dimension(self) -> int:
-        return self.per_sensor[0].state_dimension
-
 
 def _coalition_rows(model: LtiModel, coalition: Coalition) -> np.ndarray:
-    require_valid(model)
-    members_in_range(coalition, model.sensor_count)
+    if coalition.members and coalition.members[-1] >= model.sensor_count:
+        raise ValueError(
+            f"coalition {coalition} references sensor index "
+            f"{coalition.members[-1]} but only {model.sensor_count} sensors exist"
+        )
     if not coalition.members:
         raise ValueError("empty coalition has no observability matrix")
     return np.vstack([model.sensors[i].row for i in coalition])
 
 
-def observability_matrix(model: LtiModel, coalition: Coalition) -> ObservabilityMatrix:
-    """Build the stacked observability matrix of a non-empty coalition.
-
-    Powers of the state matrix are accumulated by repeated multiplication,
-    which stays well defined for defective (non-diagonalizable) dynamics.
-    """
+def _blocks(model: LtiModel, coalition: Coalition):
+    # C_S A^k for k = 0..K. Powers of the state matrix are accumulated by
+    # repeated multiplication, which stays well defined for defective
+    # (non-diagonalizable) dynamics.
     rows = _coalition_rows(model, coalition)
-    n = model.state_dimension
-    power = np.eye(n)
-    blocks = []
+    power = np.eye(model.state_dimension)
     for _ in range(model.horizon_samples):
-        blocks.append(rows @ power)
+        yield rows @ power
         power = power @ model.state_matrix
-    return ObservabilityMatrix(np.vstack(blocks), coalition)
+
+
+def observability_matrix(model: LtiModel, coalition: Coalition) -> np.ndarray:
+    """The stacked blocks C_S A^k for k = 0..K of a non-empty coalition, as a
+    read-only array with (K+1) * |S| rows."""
+    require_valid(model)
+    stacked = np.vstack(list(_blocks(model, coalition)))
+    stacked.setflags(write=False)
+    return stacked
+
+
+def _direct_sum(model: LtiModel, coalition: Coalition) -> np.ndarray:
+    # sum_k (C_S A^k)^T (C_S A^k) for an already validated model. Overflow is
+    # left to the callers' finiteness checks instead of leaking warnings.
+    n = model.state_dimension
+    acc = np.zeros((n, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in _blocks(model, coalition):
+            acc += block.T @ block
+    return acc
 
 
 def gramian_direct(model: LtiModel, coalition: Coalition) -> Gramian:
     """Build a coalition Gramian straight from its definition.
 
     Accumulates sum_k (C_S A^k)^T (C_S A^k) over the sample window. This is
-    the reference construction; production paths sum cached per-sensor
-    Gramians instead (see ``coalition_gramian``).
+    the reference construction; production paths sum the per-sensor bank
+    instead (see ``coalition_gramians``).
     """
-    rows = _coalition_rows(model, coalition)
-    n = model.state_dimension
-    power = np.eye(n)
-    acc = np.zeros((n, n))
-    for _ in range(model.horizon_samples):
-        block = rows @ power
-        acc += block.T @ block
-        power = power @ model.state_matrix
-    return Gramian(acc, coalition)
-
-
-def per_sensor_gramians(model: LtiModel) -> GramianBank:
-    """Build all single-sensor Gramians once, for reuse across coalitions."""
     require_valid(model)
-    return GramianBank(
-        tuple(
-            gramian_direct(model, Coalition((i,)))
-            for i in range(model.sensor_count)
-        ),
-        model.horizon_samples,
-    )
+    return Gramian(_direct_sum(model, coalition), coalition)
 
 
-def coalition_gramian(bank: GramianBank, coalition: Coalition) -> Gramian:
-    """Form a coalition Gramian as the sum of its members' cached Gramians.
+def per_sensor_gramians(model: LtiModel) -> np.ndarray:
+    """The bank: all p single-sensor Gramians, built once, as a read-only
+    ``(p, n, n)`` array index-aligned with the model's sensors.
 
-    The empty coalition yields the zero matrix, which is the well-defined
-    no-sensor Gramian every value function must accept.
+    Each member passes the :class:`Gramian` checks (finite, symmetric, PSD).
+    Dynamics that overflow within the window are rejected with a
+    ``ValueError`` naming the sensor and the horizon.
     """
-    members_in_range(coalition, bank.sensor_count)
-    n = bank.state_dimension
-    acc = np.zeros((n, n))
-    for i in coalition:
-        acc += bank.per_sensor[i].entries
-    return Gramian(acc, coalition)
+    require_valid(model)
+    n, h = model.state_dimension, model.horizon_samples
+    bank = np.empty((model.sensor_count, n, n))
+    for i, sensor in enumerate(model.sensors):
+        acc = _direct_sum(model, Coalition((i,)))
+        if not np.all(np.isfinite(acc)):
+            raise ValueError(
+                f"Gramian of sensor {sensor.name!r} overflows to non-finite "
+                f"values over {h} samples: the dynamics grow too fast for "
+                f"this horizon"
+            )
+        bank[i] = Gramian(acc, Coalition((i,))).entries
+    bank.setflags(write=False)
+    return bank
 
 
-def is_observable(g: Gramian, tol: float | None = None) -> bool:
-    """Whether the Gramian is positive definite, i.e. every state direction
+def pack_masks(members: np.ndarray) -> np.ndarray:
+    """Pack a ``(k, p)`` boolean membership matrix into ``(k, w)`` uint64
+    bitmask words, w = ceil(p / 64), sensor i at bit i % 64 of word i // 64:
+    the encoding ``coalition_gramians`` takes for any sensor count."""
+    members = np.asarray(members, dtype=bool)
+    k, p = members.shape
+    padded = np.zeros((k, -(-p // 64) * 64), dtype=bool)
+    padded[:, :p] = members
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
+def _membership(masks, sensor_count: int) -> np.ndarray:
+    # (k, p) booleans from bitmasks: a (k,) integer array, or (k, w) uint64
+    # words with sensor i at bit i % 64 of word i // 64.
+    words = np.asarray(masks)
+    if words.ndim == 1:
+        words = words[:, None]
+    bits = np.unpackbits(
+        np.ascontiguousarray(words, dtype="<u8").view(np.uint8),
+        axis=1,
+        bitorder="little",
+    )
+    extra = np.nonzero(bits[:, sensor_count:].any(axis=0))[0]
+    if extra.size:
+        raise ValueError(
+            f"coalition references sensor index {sensor_count + int(extra[0])} "
+            f"but only {sensor_count} sensors exist"
+        )
+    return bits[:, :sensor_count].astype(bool)
+
+
+def coalition_gramians(bank: np.ndarray, masks) -> np.ndarray:
+    """Stacked ``(k, n, n)`` Gramians of a batch of coalitions.
+
+    ``masks`` holds one membership bitmask per coalition: a ``(k,)`` integer
+    array (fewer than 64 sensors) or ``(k, w)`` uint64 words from
+    ``pack_masks`` (any sensor count). Each Gramian is the sum of its
+    members' bank entries in ascending sensor index, the same bits as adding
+    them one at a time; the empty coalition yields the zero matrix, the
+    well-defined no-sensor Gramian.
+    """
+    members = _membership(masks, bank.shape[0])
+    out = np.zeros((members.shape[0],) + bank.shape[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, gram in enumerate(bank):
+            out[members[:, i]] += gram
+    return out
+
+
+def is_observable(gramians: np.ndarray, tol: float | None = None):
+    """Whether each Gramian is positive definite, i.e. every state direction
     contributes output energy.
 
-    ``tol`` is the strict lower bound the minimum eigenvalue must exceed; by
-    default 1e-9 * max(1, largest eigenvalue).
+    Takes one ``(n, n)`` Gramian (returns a bool) or a ``(k, n, n)`` stack
+    (returns a boolean array). ``tol`` is the strict lower bound the minimum
+    eigenvalue must exceed; by default 1e-9 * max(1, largest eigenvalue).
     """
-    eigs = g.eigenvalues
-    if tol is None:
-        tol = 1e-9 * max(1.0, float(eigs[-1]))
-    elif tol <= 0:
+    if tol is not None and tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    return float(eigs[0]) > tol
+    eigs = np.linalg.eigvalsh(gramians)
+    if tol is None:
+        tol = 1e-9 * np.maximum(1.0, eigs[..., -1])
+    verdict = eigs[..., 0] > tol
+    return bool(verdict) if verdict.ndim == 0 else verdict

@@ -1,4 +1,4 @@
-"""Value functions mapping a coalition Gramian to a scalar observability degree.
+"""Value functions mapping coalition Gramians to scalar observability degrees.
 
 Two metrics ship:
 
@@ -12,41 +12,32 @@ Two metrics ship:
 The log-determinant is deliberately not offered: coalitions that lose
 observability have singular Gramians, where it is undefined.
 
-The value of the empty coalition is 0 for both metrics: the empty energy sum
-for the trace, and the PSD floor for the minimum eigenvalue.
+Every metric is evaluated on a stack of Gramians at once (``evaluate``);
+the exact value table, the sampler's prefix coalitions and the lines of
+``check`` all go through it. The value of the empty coalition is 0 for
+both metrics: the empty energy sum for the trace, and the PSD floor for the
+minimum eigenvalue.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
 
 import numpy as np
 
-from .gramian import (
-    PSD_FLOOR,
-    PSD_RTOL,
-    Gramian,
-    coalition_gramian,
-    per_sensor_gramians,
-)
-from .model import (
-    ENUMERATION_CAP,
-    Coalition,
-    EnumerationCapExceeded,
-    LtiModel,
-    require_valid,
-)
+from .gramian import PSD_FLOOR, PSD_RTOL, coalition_gramians, per_sensor_gramians
+from .model import ENUMERATION_CAP, LtiModel, require_enumerable
 
 __all__ = [
-    "CoalitionValue",
-    "CoalitionValueTable",
     "ValueFunctionKind",
+    "coalition_values",
     "evaluate",
     "value_table",
 ]
+
+# Coalition Gramians are stacked and evaluated in chunks of about this many
+# bytes, so a table's peak memory does not grow with 2^p.
+_CHUNK_BYTES = 1 << 24
 
 
 class ValueFunctionKind(Enum):
@@ -70,127 +61,69 @@ class ValueFunctionKind(Enum):
         return self.value
 
 
-def _trace_value(g: Gramian) -> float:
-    return float(np.trace(g.entries))
+def evaluate(kind: ValueFunctionKind, gramians: np.ndarray) -> np.ndarray:
+    """Scalar observability degree of each Gramian in a ``(k, n, n)`` stack.
 
-
-def _min_eigenvalue_value(g: Gramian) -> float:
-    eigs = g.eigenvalues
-    smallest = float(eigs[0])
-    if smallest >= 0.0:
-        return smallest
-    # Rank-deficient Gramians should report exactly "unobservable", not a
-    # tiny negative eigensolver residue.
-    spectral_radius = max(abs(smallest), abs(float(eigs[-1])))
-    if smallest >= -max(PSD_RTOL * spectral_radius, PSD_FLOOR):
-        return 0.0
-    raise ValueError(
-        f"Gramian has minimum eigenvalue {smallest:.6e}, beyond the PSD tolerance"
-    )
-
-
-# Registry of shipped metrics; adding a metric is a one-entry change here.
-_EVALUATORS: dict[ValueFunctionKind, Callable[[Gramian], float]] = {
-    ValueFunctionKind.TRACE: _trace_value,
-    ValueFunctionKind.MIN_EIGENVALUE: _min_eigenvalue_value,
-}
-
-
-def evaluate(kind: ValueFunctionKind, g: Gramian) -> float:
-    """Scalar observability degree of a coalition Gramian.
-
-    The zero Gramian (empty coalition) evaluates to exactly 0 for every
-    metric. Minimum eigenvalues within PSD tolerance below zero are clamped
-    to 0.
+    Returns one value per Gramian (a 0-d array for a single ``(n, n)``
+    input). Non-finite Gramians and minimum eigenvalues below
+    -max(PSD_RTOL * lambda_max, PSD_FLOOR) are rejected; minimum eigenvalues
+    within that tolerance below zero are clamped to 0, so the zero Gramian
+    (empty coalition) evaluates to exactly 0 for every metric.
     """
-    try:
-        evaluator = _EVALUATORS[kind]
-    except KeyError:
-        raise ValueError(f"no evaluator registered for {kind!r}") from None
-    return evaluator(g)
+    if not np.all(np.isfinite(gramians)):
+        raise ValueError("Gramian contains non-finite entries")
+    if kind is ValueFunctionKind.TRACE:
+        return np.trace(gramians, axis1=-2, axis2=-1)
+    if kind is ValueFunctionKind.MIN_EIGENVALUE:
+        eigs = np.linalg.eigvalsh(gramians)
+        lo = eigs[..., 0]
+        beyond = lo < -np.maximum(PSD_RTOL * eigs[..., -1], PSD_FLOOR)
+        if np.any(beyond):
+            raise ValueError(
+                f"Gramian is not positive semidefinite (minimum eigenvalue "
+                f"{np.min(lo[beyond]):.6e})"
+            )
+        # A rank-deficient Gramian reports exactly "unobservable", not a tiny
+        # negative eigensolver residue; np.where keeps the sign of a -0.0.
+        return np.where(lo >= 0.0, lo, 0.0)
+    raise ValueError(f"no evaluator registered for {kind!r}")
 
 
-@dataclass(frozen=True)
-class CoalitionValue:
-    """One (coalition, value) record of a value table."""
+def coalition_values(
+    bank: np.ndarray, kind: ValueFunctionKind, masks: np.ndarray | None = None
+) -> np.ndarray:
+    """The metric on each coalition of a batch of membership bitmasks.
 
-    coalition: Coalition
-    value: float
-
-
-class CoalitionValueTable(Mapping):
-    """Read-only map from every coalition over p sensors to its metric value.
-
-    Values are stored in a dense array indexed by coalition bitmask, so the
-    table supports fast vectorized consumption (``by_bitmask``) alongside the
-    mapping interface keyed by :class:`Coalition`.
+    ``masks`` is encoded as for
+    :func:`~sensor_shapley.gramian.coalition_gramians`. Without ``masks``,
+    every one of the 2^p coalitions is valued and the result is the
+    read-only table indexed by bitmask, with the empty coalition at exactly
+    0. Gramians are stacked and evaluated in chunks of bounded memory.
     """
-
-    def __init__(self, values_by_bitmask: np.ndarray, kind: ValueFunctionKind):
-        values = np.asarray(values_by_bitmask, dtype=float)
-        if values.ndim != 1 or values.size == 0 or values.size & (values.size - 1):
-            raise ValueError("value table length must be a power of two")
-        values.setflags(write=False)
-        self._values = values
-        self._kind = kind
-        self._sensor_count = values.size.bit_length() - 1
-
-    @property
-    def kind(self) -> ValueFunctionKind:
-        return self._kind
-
-    @property
-    def sensor_count(self) -> int:
-        return self._sensor_count
-
-    @property
-    def by_bitmask(self) -> np.ndarray:
-        """Values indexed by coalition bitmask (length 2^p, read-only)."""
-        return self._values
-
-    @property
-    def grand_value(self) -> float:
-        """Value of the full coalition of all p sensors."""
-        return float(self._values[-1])
-
-    def __getitem__(self, coalition: Coalition) -> float:
-        mask = coalition.bitmask
-        if mask >= self._values.size:
-            raise KeyError(coalition)
-        return float(self._values[mask])
-
-    def __iter__(self) -> Iterator[Coalition]:
-        return (Coalition.from_bitmask(m) for m in range(self._values.size))
-
-    def __len__(self) -> int:
-        return self._values.size
-
-    def records(self) -> Iterator[CoalitionValue]:
-        """Iterate (coalition, value) records in ascending bitmask order."""
-        for mask in range(self._values.size):
-            yield CoalitionValue(Coalition.from_bitmask(mask), float(self._values[mask]))
+    if masks is None:
+        table = np.zeros(1 << bank.shape[0])
+        table[1:] = coalition_values(bank, kind, np.arange(1, table.size))
+        table.setflags(write=False)
+        return table
+    n = bank.shape[-1]
+    chunk = max(1, _CHUNK_BYTES // (8 * n * n))
+    values = np.empty(len(masks))
+    for start in range(0, len(masks), chunk):
+        batch = masks[start : start + chunk]
+        values[start : start + chunk] = evaluate(kind, coalition_gramians(bank, batch))
+    return values
 
 
 def value_table(
     model: LtiModel, kind: ValueFunctionKind, *, cap: int = ENUMERATION_CAP
-) -> CoalitionValueTable:
+) -> np.ndarray:
     """Evaluate the metric on every one of the 2^p coalitions of a model.
 
-    Coalition Gramians are formed by summing the cached per-sensor Gramians,
-    so the model's dynamics are only propagated p times regardless of how
-    many coalitions exist. The empty coalition's value is exactly 0.
+    Returns the 2^p values indexed by membership bitmask (bit i set means
+    sensor i is a member). Coalition Gramians are sums of the per-sensor
+    bank, so the model's dynamics are only propagated p times regardless of
+    how many coalitions exist. Sensor counts above ``cap`` raise
+    :class:`~sensor_shapley.model.EnumerationCapExceeded`.
     """
-    require_valid(model)
-    p = model.sensor_count
-    if p > cap:
-        raise EnumerationCapExceeded(
-            f"a value table over {p} sensors would hold 2^{p} coalitions, "
-            f"above the cap of {cap}; use the permutation-sampling estimator "
-            f"(shapley_sampled) instead"
-        )
-    bank = per_sensor_gramians(model)
-    values = np.zeros(1 << p)
-    for mask in range(1, 1 << p):
-        gram = coalition_gramian(bank, Coalition.from_bitmask(mask))
-        values[mask] = evaluate(kind, gram)
-    return CoalitionValueTable(values, kind)
+    require_enumerable(model, cap)
+    return coalition_values(per_sensor_gramians(model), kind)

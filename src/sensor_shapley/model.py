@@ -26,8 +26,8 @@ __all__ = [
     "LtiModel",
     "Sensor",
     "ValidationResult",
-    "enumerate_subcoalitions",
     "full_coalition",
+    "require_enumerable",
     "require_valid",
     "validate_model",
 ]
@@ -220,43 +220,14 @@ def full_coalition(model: LtiModel) -> Coalition:
     return Coalition(tuple(range(model.sensor_count)))
 
 
-def enumerate_subcoalitions(
-    sensor_count: int, excluded: int, *, cap: int = ENUMERATION_CAP
-) -> Iterator[Coalition]:
-    """Yield all 2^(p-1) coalitions drawn from the sensors other than ``excluded``.
-
-    Coalitions appear exactly once each, in ascending bitmask order over the
-    remaining sensors (so the empty coalition comes first and the full
-    remainder last). Sensor counts above ``cap`` are rejected to prevent
-    runaway exponential enumeration.
-    """
-    if sensor_count < 1:
-        raise ValueError(f"sensor_count must be >= 1, got {sensor_count}")
-    if not 0 <= excluded < sensor_count:
-        raise ValueError(
-            f"excluded index {excluded} out of range for {sensor_count} sensors"
-        )
-    if sensor_count > cap:
+def require_enumerable(model: LtiModel, cap: int = ENUMERATION_CAP) -> None:
+    """``require_valid``, then refuse sensor counts above ``cap`` with
+    :class:`EnumerationCapExceeded` before any 2^p work starts."""
+    require_valid(model)
+    p = model.sensor_count
+    if p > cap:
         raise EnumerationCapExceeded(
-            f"enumerating subsets of {sensor_count} sensors exceeds the cap of "
-            f"{cap} (2^{sensor_count - 1} coalitions); use the permutation-"
-            f"sampling estimator (shapley_sampled) for large sensor sets"
-        )
-    others = [i for i in range(sensor_count) if i != excluded]
-
-    def _generate() -> Iterator[Coalition]:
-        for mask in range(1 << len(others)):
-            yield Coalition(
-                tuple(others[b] for b in range(len(others)) if mask >> b & 1)
-            )
-
-    return _generate()
-
-
-def members_in_range(coalition: Coalition, sensor_count: int) -> None:
-    """Raise ``ValueError`` if the coalition references a sensor index >= p."""
-    if coalition.members and coalition.members[-1] >= sensor_count:
-        raise ValueError(
-            f"coalition {coalition} references sensor index "
-            f"{coalition.members[-1]} but only {sensor_count} sensors exist"
+            f"a value table over {p} sensors would hold 2^{p} coalitions, "
+            f"above the cap of {cap}; use the permutation-sampling estimator "
+            f"(shapley_sampled) instead"
         )

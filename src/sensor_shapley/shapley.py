@@ -7,32 +7,42 @@ its marginal contributions over every coalition S that excludes i:
 
 Equivalently, phi_i is the average marginal contribution of i over all p!
 orderings in which the sensors could be added. ``shapley_exact`` evaluates
-the subset sum from a precomputed value table; ``shapley_permutation_oracle``
+the subset sum from the 2^p value table, built once from the per-sensor
+Gramian bank and carried on the result; ``shapley_permutation_oracle``
 re-derives the same numbers by brute-force ordering enumeration and exists
 as the cross-check; ``shapley_sampled`` Monte-Carlo averages over random
-orderings for sensor sets too large to enumerate.
+orderings for sensor sets too large to enumerate, at any sensor count. Both
+estimators value their coalitions through one batched path
+(:func:`~sensor_shapley.metrics.coalition_values`).
 
 The attribution is "fair" in the classic cooperative-game sense: it is the
 unique allocation satisfying efficiency (values sum to the grand value),
 symmetry (interchangeable sensors get equal value), dummy (a sensor that
 never changes any coalition's value gets zero), and additivity over games.
-``verify_axioms`` checks the first three on a concrete result.
+``verify_axioms`` checks the first three on an exact result, reading the
+table that result carries.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gramian import coalition_gramian, gramian_direct, per_sensor_gramians
-from .metrics import ValueFunctionKind, evaluate, value_table
+from .gramian import (
+    coalition_gramians,
+    gramian_direct,
+    pack_masks,
+    per_sensor_gramians,
+)
+from .metrics import ValueFunctionKind, coalition_values, evaluate
 from .model import (
     ENUMERATION_CAP,
     Coalition,
     LtiModel,
+    require_enumerable,
     require_valid,
 )
 
@@ -50,7 +60,6 @@ __all__ = [
     "shapley_permutation_oracle",
     "shapley_sampled",
     "shapley_weight",
-    "standalone_deviations",
     "verify_axioms",
 ]
 
@@ -136,7 +145,13 @@ class AttributionMethod:
 
 @dataclass(frozen=True)
 class AttributionResult:
-    """Per-sensor attribution of a model's observability degree."""
+    """Per-sensor attribution of a model's observability degree.
+
+    ``grand_gramian`` is the Gramian of the full sensor set, the bank's sum,
+    from which callers take the observability verdict. An exact result also
+    carries its value table (``values_by_bitmask``) so that
+    ``verify_axioms`` reads rather than rebuilds it.
+    """
 
     sensors: tuple[SensorAttribution, ...]
     grand_value: float
@@ -144,6 +159,10 @@ class AttributionResult:
     metric: ValueFunctionKind
     horizon_samples: int
     method: AttributionMethod
+    grand_gramian: np.ndarray = field(compare=False, repr=False)
+    values_by_bitmask: np.ndarray | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def shapley_values(self) -> np.ndarray:
@@ -153,9 +172,18 @@ class AttributionResult:
     def standalone_values(self) -> np.ndarray:
         return np.array([s.standalone for s in self.sensors])
 
+    @property
+    def standalone_deviations(self) -> np.ndarray:
+        """Per-sensor gap |phi_i - v({i})| between Shapley and standalone values.
 
-def _popcounts(size: int) -> np.ndarray:
-    return np.bitwise_count(np.arange(size, dtype=np.int64)).astype(np.int64)
+        For an additive metric like the trace, a sensor's marginal
+        contribution to every coalition equals its standalone value and the
+        weights sum to 1, so every deviation is zero. Non-additive metrics
+        (minimum eigenvalue) deviate whenever interaction effects are
+        present; the deviations are returned for inspection, not asserted
+        against.
+        """
+        return np.abs(self.shapley_values - self.standalone_values)
 
 
 def shapley_from_table(values_by_bitmask: np.ndarray, sensor_count: int) -> np.ndarray:
@@ -173,7 +201,7 @@ def shapley_from_table(values_by_bitmask: np.ndarray, sensor_count: int) -> np.n
         )
     weights = np.array(ShapleyWeights.for_sensor_count(sensor_count).weights)
     masks = np.arange(1 << sensor_count, dtype=np.int64)
-    sizes = _popcounts(1 << sensor_count)
+    sizes = np.bitwise_count(masks).astype(np.int64)
     phi = np.empty(sensor_count)
     for i in range(sensor_count):
         bit = 1 << i
@@ -188,38 +216,65 @@ def shapley_exact(
 ) -> AttributionResult:
     """Exact Shapley attribution of the model's observability degree.
 
-    Every coalition value is drawn from one precomputed table, so the metric
-    is evaluated exactly once per coalition. Raises
+    The per-sensor bank is built once and every coalition value is drawn
+    from one table over it, so the metric is evaluated exactly once per
+    coalition; the result carries that table. Raises
     :class:`~sensor_shapley.model.EnumerationCapExceeded` for sensor counts
     above ``cap``; use ``shapley_sampled`` there instead.
     """
-    table = value_table(model, kind, cap=cap)
+    require_enumerable(model, cap)
+    bank = per_sensor_gramians(model)
     p = model.sensor_count
-    phi = shapley_from_table(table.by_bitmask, p)
-    grand = table.grand_value
-    residual = abs(float(phi.sum()) - grand)
-    tolerance = EFFICIENCY_RTOL * max(1.0, abs(grand))
-    if residual > tolerance:
+    table = coalition_values(bank, kind)
+    phi = shapley_from_table(table, p)
+    singles = table[1 << np.arange(p)]
+    method = AttributionMethod.exact()
+    result = _attribution(model, kind, bank, method, phi, singles, table[-1], table)
+    grand = result.grand_value
+    if result.efficiency_residual > EFFICIENCY_RTOL * max(1.0, abs(grand)):
         raise AssertionError(
             f"efficiency violated: Shapley values sum to {phi.sum()!r} "
             f"but the grand value is {grand!r}"
         )
-    sensors = tuple(
-        SensorAttribution(
-            name=s.name,
-            standalone=float(table.by_bitmask[1 << i]),
-            shapley=float(phi[i]),
-        )
-        for i, s in enumerate(model.sensors)
-    )
+    return result
+
+
+def _attribution(model, kind, bank, method, phi, standalone, grand, table=None):
+    # The result fields shared by the exact and sampled paths; the grand
+    # Gramian is the bank's full-set sum.
+    grand = float(grand)
+    full = pack_masks(np.ones((1, len(bank)), dtype=bool))
+    grand_gramian = coalition_gramians(bank, full)[0]
+    grand_gramian.setflags(write=False)
     return AttributionResult(
-        sensors=sensors,
+        sensors=tuple(
+            SensorAttribution(s.name, float(standalone[i]), float(phi[i]))
+            for i, s in enumerate(model.sensors)
+        ),
         grand_value=grand,
-        efficiency_residual=residual,
+        efficiency_residual=abs(float(phi.sum()) - grand),
         metric=kind,
         horizon_samples=model.horizon_samples,
-        method=AttributionMethod.exact(),
+        method=method,
+        grand_gramian=grand_gramian,
+        values_by_bitmask=table,
     )
+
+
+def _unique_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The distinct rows of a (k, w) word array and each row's index among
+    # them. A radix-style lexicographic sort (any sort on the last word, then
+    # stable sorts towards the first) is an order of magnitude faster than
+    # np.unique(axis=0).
+    order = np.argsort(words[:, -1])
+    for j in range(words.shape[1] - 2, -1, -1):
+        order = order[np.argsort(words[order, j], kind="stable")]
+    ordered = words[order]
+    starts = np.ones(len(words), dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    inverse = np.empty(len(words), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[starts], inverse
 
 
 def shapley_permutation_oracle(model: LtiModel, kind: ValueFunctionKind) -> np.ndarray:
@@ -244,7 +299,8 @@ def shapley_permutation_oracle(model: LtiModel, kind: ValueFunctionKind) -> np.n
         try:
             return cache[mask]
         except KeyError:
-            value = evaluate(kind, gramian_direct(model, Coalition.from_bitmask(mask)))
+            gram = gramian_direct(model, Coalition.from_bitmask(mask))
+            value = float(evaluate(kind, gram.entries))
             cache[mask] = value
             return value
 
@@ -269,11 +325,14 @@ def shapley_sampled(
     """Monte-Carlo Shapley estimate from uniformly random sensor orderings.
 
     Draws ``num_permutations`` orderings from a seeded PCG64 generator
-    (numpy's default) and averages each sensor's marginal contribution along
-    them. The per-ordering marginals telescope to the grand value, so the
-    estimates sum to it up to accumulation rounding regardless of sample
-    size. Results are bitwise reproducible for a fixed (model, metric,
-    num_permutations, seed).
+    (numpy's default; row r equals the r-th of successive
+    ``rng.permutation(p)`` calls) and averages each sensor's marginal
+    contribution along them, the estimator of Castro, Gomez & Tejada (2009).
+    Prefix coalitions are packed bitmask words, so any sensor count works;
+    each distinct coalition is valued once. The per-ordering marginals
+    telescope to the grand value, so the estimates sum to it up to
+    accumulation rounding regardless of sample size. Results are bitwise
+    reproducible for a fixed (model, metric, num_permutations, seed).
     """
     require_valid(model)
     if num_permutations < 1:
@@ -282,69 +341,25 @@ def shapley_sampled(
         )
     p = model.sensor_count
     bank = per_sensor_gramians(model)
-
-    def coalition_value(mask: int) -> float:
-        return evaluate(kind, coalition_gramian(bank, Coalition.from_bitmask(mask)))
-
     rng = np.random.default_rng(seed)
-    if p <= 62:
-        phi = _sampled_phi_vectorized(coalition_value, p, num_permutations, rng)
-    else:
-        phi = _sampled_phi_slow(coalition_value, p, num_permutations, rng)
-
-    grand = coalition_value((1 << p) - 1)
-    residual = abs(float(phi.sum()) - grand)
-    sensors = tuple(
-        SensorAttribution(
-            name=s.name,
-            standalone=coalition_value(1 << i),
-            shapley=float(phi[i]),
-        )
-        for i, s in enumerate(model.sensors)
-    )
-    return AttributionResult(
-        sensors=sensors,
-        grand_value=grand,
-        efficiency_residual=residual,
-        metric=kind,
-        horizon_samples=model.horizon_samples,
-        method=AttributionMethod.sampled(num_permutations, seed),
-    )
-
-
-def _sampled_phi_vectorized(coalition_value, p, num_permutations, rng) -> np.ndarray:
-    # Prefix coalitions along each ordering as int64 bitmasks; every distinct
-    # coalition is evaluated once.
     orderings = rng.permuted(
         np.tile(np.arange(p, dtype=np.int64), (num_permutations, 1)), axis=1
     )
-    prefixes = np.bitwise_or.accumulate(
-        np.left_shift(np.int64(1), orderings), axis=1
+    singles = pack_masks(np.eye(p, dtype=bool))
+    prefixes = np.bitwise_or.accumulate(singles[orderings], axis=1)
+    masks, inverse = _unique_rows(
+        np.concatenate([singles, prefixes.reshape(-1, singles.shape[1])])
     )
-    unique_masks, inverse = np.unique(prefixes, return_inverse=True)
-    unique_values = np.array([coalition_value(int(m)) for m in unique_masks])
-    prefix_values = unique_values[inverse.reshape(prefixes.shape)]
-    marginals = np.empty_like(prefix_values)
-    marginals[:, 0] = prefix_values[:, 0]
-    marginals[:, 1:] = prefix_values[:, 1:] - prefix_values[:, :-1]
+    values = coalition_values(bank, kind, masks)[inverse]
+    standalone, prefix_values = values[:p], values[p:].reshape(orderings.shape)
+
+    marginals = np.diff(prefix_values, axis=1, prepend=0.0)
     phi = np.zeros(p)
     np.add.at(phi, orderings, marginals)
-    return phi / num_permutations
-
-
-def _sampled_phi_slow(coalition_value, p, num_permutations, rng) -> np.ndarray:
-    # Arbitrary-width bitmasks for sensor counts beyond int64 range.
-    totals = np.zeros(p)
-    for _ in range(num_permutations):
-        ordering = rng.permutation(p)
-        mask = 0
-        previous = 0.0
-        for i in ordering:
-            mask |= 1 << int(i)
-            current = coalition_value(mask)
-            totals[i] += current - previous
-            previous = current
-    return totals / num_permutations
+    phi /= num_permutations
+    method = AttributionMethod.sampled(num_permutations, seed)
+    grand = prefix_values[0, -1]
+    return _attribution(model, kind, bank, method, phi, standalone, grand)
 
 
 @dataclass(frozen=True)
@@ -409,21 +424,26 @@ def verify_axioms(
 ) -> AxiomReport:
     """Check the efficiency, symmetry, and dummy axioms on an exact result.
 
-    Symmetric pairs are sensors j, k whose additions are interchangeable for
-    every tested coalition containing neither; dummies are sensors whose
-    addition never changes any tested coalition's value. Detected pairs must
-    have equal Shapley values and detected dummies must have Shapley value
-    zero, both within 1e-6. Failures are reported, not raised.
+    The coalition values are the table the exact result carries, so
+    ``kind`` must be the result's metric. Symmetric pairs are sensors j, k
+    whose additions are interchangeable for every tested coalition
+    containing neither; dummies are sensors whose addition never changes any
+    tested coalition's value. Detected pairs must have equal Shapley values
+    and detected dummies must have Shapley value zero, both within 1e-6.
+    Failures are reported, not raised.
     """
-    if result.method.kind != "exact":
+    values = result.values_by_bitmask
+    if result.method.kind != "exact" or values is None:
         raise ValueError("axiom verification requires an exact attribution result")
-    table = value_table(model, kind)
-    values = table.by_bitmask
+    if kind is not result.metric:
+        raise ValueError(
+            f"result was computed for metric {result.metric.cli_name!r}, "
+            f"not {kind.cli_name!r}"
+        )
     p = model.sensor_count
     phi = result.shapley_values
 
-    grand = table.grand_value
-    residual = abs(float(phi.sum()) - grand)
+    residual, grand = result.efficiency_residual, result.grand_value
     tolerance = EFFICIENCY_RTOL * max(1.0, abs(grand))
     efficiency = EfficiencyCheck(residual, tolerance, residual <= tolerance)
 
@@ -471,16 +491,3 @@ def verify_axioms(
         dummy_sensors=tuple(dummy_sensors),
         exhaustive=exhaustive,
     )
-
-
-def standalone_deviations(model: LtiModel, kind: ValueFunctionKind) -> np.ndarray:
-    """Per-sensor gap |phi_i - v({i})| between Shapley and standalone values.
-
-    For an additive metric like the trace, a sensor's marginal contribution
-    to every coalition equals its standalone value and the weights sum to 1,
-    so every deviation is zero. Non-additive metrics (minimum eigenvalue)
-    deviate whenever interaction effects are present; the deviations are
-    returned for inspection, not asserted against.
-    """
-    result = shapley_exact(model, kind)
-    return np.abs(result.shapley_values - result.standalone_values)

@@ -7,9 +7,9 @@ from sensor_shapley import (
     ValueFunctionKind,
     shapley_exact,
     shapley_sampled,
-    standalone_deviations,
     verify_axioms,
 )
+from sensor_shapley import shapley as shapley_module
 
 TRACE = ValueFunctionKind.TRACE
 MIN_EIG = ValueFunctionKind.MIN_EIGENVALUE
@@ -68,6 +68,21 @@ class TestVerifyAxioms:
         with pytest.raises(ValueError, match="exact"):
             verify_axioms(scenario2_model, MIN_EIG, sampled)
 
+    def test_reads_the_table_the_result_carries(self, scenario2_model, monkeypatch):
+        result = shapley_exact(scenario2_model, MIN_EIG)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("verify_axioms rebuilt a coalition value")
+
+        monkeypatch.setattr(shapley_module, "per_sensor_gramians", forbidden)
+        monkeypatch.setattr(shapley_module, "coalition_values", forbidden)
+        assert verify_axioms(scenario2_model, MIN_EIG, result).passed
+
+    def test_metric_must_match_the_result(self, scenario2_model):
+        result = shapley_exact(scenario2_model, MIN_EIG)
+        with pytest.raises(ValueError, match="min-eig"):
+            verify_axioms(scenario2_model, TRACE, result)
+
     def test_no_false_positives_on_distinct_sensors(self, scenario2_model):
         result = shapley_exact(scenario2_model, MIN_EIG)
         report = verify_axioms(scenario2_model, MIN_EIG, result)
@@ -92,11 +107,11 @@ class TestVerifyAxioms:
 
 class TestStandaloneDeviations:
     def test_trace_deviations_vanish(self, scenario2_model):
-        deviations = standalone_deviations(scenario2_model, TRACE)
+        deviations = shapley_exact(scenario2_model, TRACE).standalone_deviations
         assert np.all(deviations <= 1e-9 * np.array([3187.0, 295.0, 5312.0, 10.0]))
 
     def test_min_eig_deviations_expose_interaction_credit(self, scenario2_model):
-        deviations = standalone_deviations(scenario2_model, MIN_EIG)
+        deviations = shapley_exact(scenario2_model, MIN_EIG).standalone_deviations
         np.testing.assert_allclose(
             deviations, [0.1209, 0.2306, 0.0684, 0.0243], atol=1e-3
         )
@@ -105,7 +120,7 @@ class TestStandaloneDeviations:
         model = LtiModel([[0.9]], (Sensor("solo", [1.5]),), 4)
         for kind in (TRACE, MIN_EIG):
             np.testing.assert_allclose(
-                standalone_deviations(model, kind), [0.0], atol=1e-12
+                shapley_exact(model, kind).standalone_deviations, [0.0], atol=1e-12
             )
 
     def test_interaction_credit_when_no_sensor_suffices(self, scenario1_model):

@@ -1,6 +1,10 @@
 import json
+import warnings
 from pathlib import Path
 
+import pytest
+
+from sensor_shapley import gramian, model, report, shapley
 from sensor_shapley.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -94,6 +98,71 @@ class TestAnalyze:
             assert code == 0
             assert out == golden
 
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("analyze_scenario2_trace.json", ["--metric", "trace"]),
+            ("analyze_scenario2_sampled.json", ["--sample", "2000", "--seed", "0"]),
+        ],
+    )
+    def test_golden_trace_and_sampled_reports(self, capsys, golden, argv):
+        expected = (GOLDEN_DIR / golden).read_text(encoding="utf-8")
+        code, out, _ = run(
+            capsys, "analyze", "--scenario", "2", "--format", "json", *argv
+        )
+        assert code == 0
+        assert out == expected
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def sensors_payload(count):
+    return {
+        "state_matrix": [[0.0, 1.0], [-1.0, 0.0]],
+        "sensors": [
+            {"name": f"s{i}", "row": [1.0, float(i % 3)]} for i in range(count)
+        ],
+        "horizon_samples": 4,
+    }
+
+
+class TestWorkPerAnalyze:
+    @pytest.mark.parametrize("extra", [[], ["--sample", "30"]])
+    def test_validation_count_does_not_grow_with_sensors(
+        self, tmp_path, capsys, monkeypatch, extra
+    ):
+        counts = []
+        for p in (3, 9):
+            calls = counting(monkeypatch, model, "validate_model")
+            calls += counting(monkeypatch, report, "validate_model")
+            path = write_model(tmp_path, sensors_payload(p), f"p{p}.json")
+            code, _, _ = run(capsys, "analyze", "--model", path, *extra)
+            assert code == 0
+            counts.append(len(calls))
+            monkeypatch.undo()
+        assert counts[0] == counts[1] <= 3
+
+    @pytest.mark.parametrize("extra", [[], ["--sample", "30"]])
+    def test_bank_and_table_built_once(self, tmp_path, capsys, monkeypatch, extra):
+        banks = counting(monkeypatch, shapley, "per_sensor_gramians")
+        tables = counting(monkeypatch, shapley, "coalition_values")
+        # one propagation per sensor for the bank, none for the verdict
+        propagations = counting(monkeypatch, gramian, "_direct_sum")
+        path = write_model(tmp_path, sensors_payload(5))
+        code, _, _ = run(capsys, "analyze", "--model", path, *extra)
+        assert code == 0
+        assert len(banks) == 1 and len(tables) == 1 and len(propagations) == 5
+
 
 class TestAnalyzeErrors:
     def test_unreadable_model_file(self, capsys):
@@ -171,6 +240,26 @@ class TestAnalyzeErrors:
         )
         assert code == 0
         assert len(json.loads(out)["per_sensor"]) == 25
+
+
+    def test_unstable_dynamics_fail_cleanly(self, tmp_path, capsys):
+        path = write_model(
+            tmp_path,
+            {
+                "state_matrix": [[3.0, 0.0], [0.0, 0.5]],
+                "sensors": [
+                    {"name": "a", "row": [1.0, 0.0]},
+                    {"name": "b", "row": [0.0, 1.0]},
+                ],
+                "horizon_samples": 800,
+            },
+        )
+        for command in ("analyze", "check"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(capsys, command, "--model", path)
+            assert code == 2 and out == ""
+            assert "sensor 'a'" in err and "800 samples" in err
 
 
 class TestCheck:

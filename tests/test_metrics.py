@@ -3,19 +3,19 @@ import pytest
 from hypothesis import given, settings
 
 from sensor_shapley import (
-    Coalition,
-    CoalitionValueTable,
     EnumerationCapExceeded,
     LtiModel,
     Sensor,
     ValueFunctionKind,
-    coalition_gramian,
+    coalition_gramians,
+    coalition_values,
     evaluate,
+    metrics,
     per_sensor_gramians,
     value_table,
 )
 
-from conftest import lti_models
+from conftest import gramian_corpus, lti_models
 
 TRACE = ValueFunctionKind.TRACE
 MIN_EIG = ValueFunctionKind.MIN_EIGENVALUE
@@ -33,86 +33,105 @@ class TestValueFunctionKind:
             ValueFunctionKind.from_cli_name("log-det")
 
 
+def gramian_of(model, mask):
+    return coalition_gramians(per_sensor_gramians(model), np.array([mask]))[0]
+
+
 class TestEvaluate:
     def test_trace_of_combination_sensor(self, scenario2_model):
-        bank = per_sensor_gramians(scenario2_model)
-        g = coalition_gramian(bank, Coalition((2,)))
-        assert evaluate(TRACE, g) == pytest.approx(5312.0)
+        assert evaluate(TRACE, gramian_of(scenario2_model, 0b100)) == pytest.approx(
+            5312.0
+        )
 
     def test_min_eigenvalue_of_rank_deficient_sensor(self, scenario1_model):
-        bank = per_sensor_gramians(scenario1_model)
-        g = coalition_gramian(bank, Coalition((0,)))
-        assert evaluate(MIN_EIG, g) == 0.0
+        assert evaluate(MIN_EIG, gramian_of(scenario1_model, 0b01)) == 0.0
 
     def test_min_eigenvalue_of_self_sufficient_sensor(self, scenario2_model):
-        bank = per_sensor_gramians(scenario2_model)
-        g = coalition_gramian(bank, Coalition((0,)))
+        g = gramian_of(scenario2_model, 0b0001)
         assert evaluate(MIN_EIG, g) == pytest.approx(1.3920, abs=1e-3)
 
     def test_zero_gramian_evaluates_to_exactly_zero(self, scenario1_model):
-        bank = per_sensor_gramians(scenario1_model)
-        empty = coalition_gramian(bank, Coalition(()))
+        empty = gramian_of(scenario1_model, 0)
         assert evaluate(TRACE, empty) == 0.0
         assert evaluate(MIN_EIG, empty) == 0.0
 
     def test_tiny_negative_eigenvalue_clamped_to_zero(self, scenario1_model):
         # any rank-deficient Gramian exercises the clamp: the zero eigenvalue
         # comes back from the solver as a tiny value of either sign
-        bank = per_sensor_gramians(scenario1_model)
-        for i in range(2):
-            g = coalition_gramian(bank, Coalition((i,)))
-            value = evaluate(MIN_EIG, g)
+        for mask in (0b01, 0b10):
+            value = evaluate(MIN_EIG, gramian_of(scenario1_model, mask))
             assert value == 0.0 or value > 0.0
+
+    def test_stack_matches_one_at_a_time_bit_for_bit(self):
+        for model in gramian_corpus(20, seed=515):
+            stack = coalition_gramians(
+                per_sensor_gramians(model), np.arange(1 << model.sensor_count)
+            )
+            for kind in (TRACE, MIN_EIG):
+                batched = evaluate(kind, stack)
+                assert batched.shape == (len(stack),)
+                single = [evaluate(kind, g) for g in stack]
+                assert batched.tobytes() == np.array(single).tobytes()
+
+    def test_non_finite_gramian_rejected(self):
+        bad = np.array([[[1.0, 0.0], [0.0, np.inf]]])
+        for kind in (TRACE, MIN_EIG):
+            with pytest.raises(ValueError, match="non-finite"):
+                evaluate(kind, bad)
+
+    def test_indefinite_gramian_rejected(self):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            evaluate(MIN_EIG, np.array([[[-1.0, 0.0], [0.0, 1.0]]]))
 
 
 class TestValueTable:
     def test_two_sensor_trace_table(self, scenario1_model):
         table = value_table(scenario1_model, TRACE)
-        assert table[Coalition(())] == 0.0
-        assert table[Coalition((0,))] == pytest.approx(20.0)
-        assert table[Coalition((1,))] == pytest.approx(20.0)
-        assert table[Coalition((0, 1))] == pytest.approx(40.0)
+        assert table[0b00] == 0.0
+        assert table[0b01] == pytest.approx(20.0)
+        assert table[0b10] == pytest.approx(20.0)
+        assert table[0b11] == pytest.approx(40.0)
 
     def test_two_sensor_min_eig_table(self, scenario1_model):
         table = value_table(scenario1_model, MIN_EIG)
-        assert table[Coalition(())] == 0.0
-        assert table[Coalition((0,))] == 0.0
-        assert table[Coalition((1,))] == 0.0
-        assert table[Coalition((0, 1))] == pytest.approx(20.0)
+        assert table[0b00] == 0.0
+        assert table[0b01] == 0.0
+        assert table[0b10] == 0.0
+        assert table[0b11] == pytest.approx(20.0)
 
     def test_single_sensor_table(self):
         model = LtiModel([[2.0]], (Sensor("a", [1.0]),), 3)
         table = value_table(model, TRACE)
-        assert table[Coalition(())] == 0.0
+        assert table[0] == 0.0
         # 1 + 4 + 16 from the three powers of the scalar dynamics
-        assert table[Coalition((0,))] == pytest.approx(21.0)
+        assert table[1] == pytest.approx(21.0)
 
-    def test_mapping_interface(self, scenario2_model):
+    def test_array_layout(self, scenario2_model):
         table = value_table(scenario2_model, TRACE)
-        assert len(table) == 16
-        assert table.sensor_count == 4
-        assert table.kind is TRACE
-        coalitions = list(table)
-        assert len(coalitions) == 16
-        assert coalitions[0] == Coalition(())
-        assert coalitions[-1] == Coalition((0, 1, 2, 3))
-        assert table.grand_value == pytest.approx(8804.0)
-        records = list(table.records())
-        assert records[5].coalition == Coalition.from_bitmask(5)
-        assert records[5].value == table.by_bitmask[5]
-
-    def test_out_of_range_coalition_is_key_error(self, scenario1_model):
-        table = value_table(scenario1_model, TRACE)
-        with pytest.raises(KeyError):
-            table[Coalition((9,))]
+        assert table.shape == (16,)
+        assert not table.flags.writeable
+        assert table[-1] == pytest.approx(8804.0)
+        assert table[0b0101] == pytest.approx(3187.0 + 5312.0)
 
     def test_cap_enforced_with_pointer_to_sampling(self, scenario2_model):
         with pytest.raises(EnumerationCapExceeded, match="shapley_sampled"):
             value_table(scenario2_model, TRACE, cap=3)
 
-    def test_table_length_must_be_power_of_two(self):
-        with pytest.raises(ValueError, match="power of two"):
-            CoalitionValueTable(np.zeros(5), TRACE)
+    def test_chunked_evaluation_is_bit_identical(self, monkeypatch):
+        # a 3-coalition budget splits every table into many uneven chunks
+        models = gramian_corpus(10, seed=2718)
+        whole = [value_table(m, kind) for m in models for kind in (TRACE, MIN_EIG)]
+        n_max = max(m.state_dimension for m in models)
+        monkeypatch.setattr(metrics, "_CHUNK_BYTES", 3 * 8 * n_max * n_max)
+        chunked = [value_table(m, kind) for m in models for kind in (TRACE, MIN_EIG)]
+        for a, b in zip(whole, chunked):
+            assert a.tobytes() == b.tobytes()
+
+    def test_batch_values_match_the_table(self, scenario2_model):
+        bank = per_sensor_gramians(scenario2_model)
+        table = coalition_values(bank, MIN_EIG)
+        masks = np.array([9, 0, 15, 6])
+        assert coalition_values(bank, MIN_EIG, masks).tolist() == table[masks].tolist()
 
 
 class TestMetricProperties:
@@ -120,13 +139,11 @@ class TestMetricProperties:
     @given(lti_models(max_states=4, max_sensors=5, max_horizon=8))
     def test_trace_is_additive_over_members(self, model):
         table = value_table(model, TRACE)
-        singles = np.array(
-            [table[Coalition((i,))] for i in range(model.sensor_count)]
-        )
+        singles = table[1 << np.arange(model.sensor_count)]
         for mask in range(len(table)):
             members = [i for i in range(model.sensor_count) if mask >> i & 1]
             expected = float(singles[members].sum()) if members else 0.0
-            got = float(table.by_bitmask[mask])
+            got = float(table[mask])
             assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -138,17 +155,14 @@ class TestMetricProperties:
             for i in range(p):
                 if mask >> i & 1:
                     continue
-                assert (
-                    table.by_bitmask[mask | (1 << i)]
-                    >= table.by_bitmask[mask] - 1e-10
-                )
+                assert table[mask | (1 << i)] >= table[mask] - 1e-10
 
     def test_min_eig_is_not_additive(self, scenario1_model):
         # the canonical interaction case: both sensors are blind alone, the
         # pair is fully observable, so the eigenvalue of the sum exceeds the
         # sum of the eigenvalues
         table = value_table(scenario1_model, MIN_EIG)
-        singles_sum = table[Coalition((0,))] + table[Coalition((1,))]
+        singles_sum = table[0b01] + table[0b10]
         assert singles_sum == 0.0
-        assert table[Coalition((0, 1))] == pytest.approx(20.0)
-        assert table[Coalition((0, 1))] != singles_sum
+        assert table[0b11] == pytest.approx(20.0)
+        assert table[0b11] != singles_sum

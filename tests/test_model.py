@@ -7,11 +7,11 @@ from sensor_shapley import (
     EnumerationCapExceeded,
     LtiModel,
     Sensor,
-    enumerate_subcoalitions,
     full_coalition,
     require_valid,
     validate_model,
 )
+from sensor_shapley.model import require_enumerable
 
 
 def two_state_model(horizon=10):
@@ -135,43 +135,19 @@ class TestFullCoalition:
         assert full_coalition(model) == Coalition((0,))
 
 
-class TestEnumerateSubcoalitions:
-    def test_two_sensors_excluding_second(self):
-        got = list(enumerate_subcoalitions(2, 1))
-        assert got == [Coalition(()), Coalition((0,))]
-
-    def test_three_sensors_excluding_first(self):
-        got = list(enumerate_subcoalitions(3, 0))
-        assert got == [
-            Coalition(()),
-            Coalition((1,)),
-            Coalition((2,)),
-            Coalition((1, 2)),
-        ]
-
-    def test_four_sensors_count_and_exclusion(self):
-        got = list(enumerate_subcoalitions(4, 2))
-        assert len(got) == 2 ** 3
-        assert len(set(got)) == 2 ** 3
-        assert all(2 not in c for c in got)
-
-    def test_excluded_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            list(enumerate_subcoalitions(3, 3))
-
+class TestRequireEnumerable:
     def test_cap_enforced(self):
+        model = LtiModel(np.eye(1), tuple(Sensor(f"s{i}", [1.0]) for i in range(25)), 2)
         with pytest.raises(EnumerationCapExceeded, match="shapley_sampled"):
-            enumerate_subcoalitions(25, 0)
+            require_enumerable(model)
 
     def test_cap_is_configurable(self):
+        model = two_state_model()
         with pytest.raises(EnumerationCapExceeded):
-            enumerate_subcoalitions(5, 0, cap=4)
-        assert len(list(enumerate_subcoalitions(5, 0, cap=5))) == 16
+            require_enumerable(model, cap=1)
+        require_enumerable(model, cap=2)
 
-    @given(st.integers(1, 8), st.data())
-    def test_counts_distinctness_and_exclusion(self, p, data):
-        excluded = data.draw(st.integers(0, p - 1))
-        got = list(enumerate_subcoalitions(p, excluded))
-        assert len(got) == 2 ** (p - 1)
-        assert len(set(got)) == len(got)
-        assert all(excluded not in c for c in got)
+    def test_validates_before_the_cap(self):
+        model = LtiModel([[1.0]], (Sensor("a", [1.0]), Sensor("b", [1.0])), 0)
+        with pytest.raises(ValueError, match="invalid model"):
+            require_enumerable(model, cap=1)

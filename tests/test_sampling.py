@@ -5,6 +5,7 @@ from sensor_shapley import (
     LtiModel,
     Sensor,
     ValueFunctionKind,
+    per_sensor_gramians,
     shapley_exact,
     shapley_sampled,
 )
@@ -85,3 +86,54 @@ class TestEstimates:
         within = np.abs(runs - exact) <= 3.0 * stderr
         per_run_ok = within.all(axis=1)
         assert per_run_ok.sum() >= 19
+
+
+def reference_sampled_min_eig(model, num_permutations, seed):
+    """Permutation sampling one ordering and one coalition at a time:
+    successive rng.permutation(p) draws, and each prefix valued by eigvalsh
+    of its members' bank entries summed in ascending sensor index."""
+    bank = per_sensor_gramians(model)
+    p = model.sensor_count
+    rng = np.random.default_rng(seed)
+
+    def value(members):
+        acc = np.zeros(bank.shape[1:])
+        for i in sorted(members):
+            acc += bank[i]
+        smallest = np.linalg.eigvalsh(acc)[0]
+        return smallest if smallest >= 0.0 else 0.0
+
+    totals = np.zeros(p)
+    for _ in range(num_permutations):
+        members, previous = [], 0.0
+        for i in rng.permutation(p):
+            members.append(int(i))
+            current = value(members)
+            totals[i] += current - previous
+            previous = current
+    standalone = [value([i]) for i in range(p)]
+    return totals / num_permutations, standalone, value(range(p))
+
+
+class TestWideSensorSets:
+    def test_seventy_sensors_match_reference_loop_bit_for_bit(self):
+        # more sensors than one 64-bit mask word holds
+        rng = np.random.default_rng(70)
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        rows = [rng.uniform(-1.0, 1.0, 4) for _ in range(70)]
+        rows[65] = np.zeros(4)
+        model = LtiModel(q, tuple(Sensor(f"s{i}", r) for i, r in enumerate(rows)), 5)
+        result = shapley_sampled(model, MIN_EIG, 12, seed=3)
+        phi, standalone, grand = reference_sampled_min_eig(model, 12, seed=3)
+        assert result.shapley_values.tobytes() == phi.tobytes()
+        assert result.standalone_values.tobytes() == np.array(standalone).tobytes()
+        assert result.grand_value == grand
+
+    def test_orderings_equal_successive_permutation_calls(self):
+        for p in (5, 40, 70, 100):
+            batched = np.random.default_rng(p).permuted(
+                np.tile(np.arange(p, dtype=np.int64), (30, 1)), axis=1
+            )
+            rng = np.random.default_rng(p)
+            successive = np.array([rng.permutation(p) for _ in range(30)])
+            np.testing.assert_array_equal(batched, successive)

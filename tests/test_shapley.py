@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,12 +11,11 @@ from sensor_shapley import (
     Sensor,
     ShapleyWeights,
     ValueFunctionKind,
-    enumerate_subcoalitions,
+    per_sensor_gramians,
     shapley_exact,
     shapley_from_table,
     shapley_permutation_oracle,
     shapley_weight,
-    standalone_deviations,
     value_table,
 )
 
@@ -60,12 +60,13 @@ class TestShapleyWeight:
 
     def test_weights_sum_to_one_by_explicit_enumeration(self):
         for p in range(1, 8):
-            for j in range(p):
-                total = sum(
-                    shapley_weight(len(c), p)
-                    for c in enumerate_subcoalitions(p, j)
-                )
-                assert abs(total - 1.0) <= 1e-10
+            others = range(p - 1)  # the p-1 sensors besides the one valued
+            total = sum(
+                shapley_weight(size, p)
+                for size in range(p)
+                for _ in itertools.combinations(others, size)
+            )
+            assert abs(total - 1.0) <= 1e-10
 
     def test_weights_table(self):
         weights = ShapleyWeights.for_sensor_count(5)
@@ -110,6 +111,15 @@ class TestShapleyExact:
         assert result.horizon_samples == 10
         assert result.metric is MIN_EIG
         assert result.efficiency_residual <= 1e-6 * max(1.0, result.grand_value)
+
+    def test_result_carries_read_only_table_and_grand_gramian(self, scenario2_model):
+        result = shapley_exact(scenario2_model, MIN_EIG)
+        table = result.values_by_bitmask
+        assert table.tolist() == value_table(scenario2_model, MIN_EIG).tolist()
+        bank = per_sensor_gramians(scenario2_model)
+        full = ((bank[0] + bank[1]) + bank[2]) + bank[3]
+        np.testing.assert_array_equal(result.grand_gramian, full)
+        assert not table.flags.writeable and not result.grand_gramian.flags.writeable
 
     def test_cap_exceeded_names_sampler(self, scenario2_model):
         with pytest.raises(EnumerationCapExceeded, match="shapley_sampled"):
@@ -178,7 +188,7 @@ class TestAxiomsByConstruction:
     def test_trace_shapley_equals_standalone(self):
         for model in attribution_corpus(15, seed=112358):
             result = shapley_exact(model, TRACE)
-            deviations = standalone_deviations(model, TRACE)
+            deviations = result.standalone_deviations
             scale = np.maximum(1.0, np.abs(result.standalone_values))
             assert np.all(deviations <= 1e-9 * scale)
 
@@ -187,8 +197,8 @@ class TestAxiomsByConstruction:
         # the sum of the individual attributions
         for model in attribution_corpus(15, seed=24601):
             p = model.sensor_count
-            table_a = value_table(model, TRACE).by_bitmask
-            table_b = value_table(model, MIN_EIG).by_bitmask
+            table_a = value_table(model, TRACE)
+            table_b = value_table(model, MIN_EIG)
             combined = shapley_from_table(table_a + table_b, p)
             separate = shapley_from_table(table_a, p) + shapley_from_table(table_b, p)
             np.testing.assert_allclose(combined, separate, atol=1e-8)
