@@ -10,14 +10,12 @@ parsing plus report rendering (:mod:`~sensor_shapley.report`). The
 """
 
 from .gramian import (
-    Gramian,
     coalition_gramians,
     gramian_direct,
     is_observable,
     observability_matrix,
     pack_masks,
     per_sensor_gramians,
-    symmetric_eigenvalues,
 )
 from .metrics import (
     ValueFunctionKind,
@@ -27,12 +25,10 @@ from .metrics import (
 )
 from .model import (
     ENUMERATION_CAP,
-    Coalition,
     EnumerationCapExceeded,
     LtiModel,
     Sensor,
     ValidationResult,
-    full_coalition,
     require_valid,
     validate_model,
 )
@@ -70,9 +66,7 @@ __all__ = [
     "AttributionMethod",
     "AttributionResult",
     "AxiomReport",
-    "Coalition",
     "EnumerationCapExceeded",
-    "Gramian",
     "LtiModel",
     "ModelDocument",
     "ModelDocumentError",
@@ -87,7 +81,6 @@ __all__ = [
     "coalition_values",
     "emit_scenarios",
     "evaluate",
-    "full_coalition",
     "gramian_direct",
     "is_observable",
     "observability_matrix",
@@ -105,7 +98,6 @@ __all__ = [
     "shapley_permutation_oracle",
     "shapley_sampled",
     "shapley_weight",
-    "symmetric_eigenvalues",
     "validate_model",
     "value_table",
     "verify_axioms",

@@ -52,6 +52,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if value <= 0:
@@ -115,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--seed",
-        type=int,
+        type=_non_negative_int,
         default=0,
         help="random seed for --sample (default: 0)",
     )

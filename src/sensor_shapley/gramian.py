@@ -1,8 +1,8 @@
 """Observability matrices and Gramians for sensor coalitions.
 
-For a coalition S with stacked measurement rows C_S, the observability
-matrix over K+1 samples is the row-stack of C_S A^k for k = 0..K, and the
-observability Gramian is
+A coalition S is a membership bitmask: bit i set means sensor i is a member.
+For stacked measurement rows C_S, the observability matrix over K+1 samples
+is the row-stack of C_S A^k for k = 0..K, and the observability Gramian is
 
     W_S = sum_k (A^T)^k C_S^T C_S A^k = O_S^T O_S.
 
@@ -10,9 +10,11 @@ W_S is symmetric positive semidefinite and additive over sensors:
 W_S = sum of the single-sensor Gramians of the members of S. That additivity
 is what makes coalition values cheap: the bank of per-sensor Gramians is
 built once (``per_sensor_gramians``, a ``(p, n, n)`` array) and the Gramians
-of any batch of coalitions, given as membership bitmasks, are stacked n x n
-sums of bank members (``coalition_gramians``). ``gramian_direct`` keeps the
-definition-level construction around as the independent cross-check.
+of any batch of coalitions are stacked n x n sums of bank members
+(``coalition_gramians``). ``gramian_direct`` keeps the definition-level
+construction around as the independent cross-check. Every Gramian is a
+plain read-only array; the bank and ``gramian_direct`` pass the same
+checks (finite, symmetric, PSD) on the way out.
 
 The system is observable over the window iff the full-coalition Gramian is
 positive definite, i.e. its minimum eigenvalue is strictly positive.
@@ -23,21 +25,19 @@ are deterministic for a given input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .model import Coalition, LtiModel, require_valid
+from .model import LtiModel, require_valid
 
 __all__ = [
-    "Gramian",
     "coalition_gramians",
     "gramian_direct",
     "is_observable",
     "observability_matrix",
     "pack_masks",
     "per_sensor_gramians",
-    "symmetric_eigenvalues",
 ]
 
 # Relative asymmetry tolerated before a matrix is rejected as non-symmetric.
@@ -48,137 +48,125 @@ PSD_RTOL = 1e-9
 PSD_FLOOR = 1e-12
 
 
-def _check_symmetric(m: np.ndarray, what: str) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+def _members(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _label(mask) -> str:
+    return "{" + ", ".join(map(str, _members(int(mask)))) + "}"
+
+
+def _checked_gramians(stack: np.ndarray, masks: list[int]) -> np.ndarray:
+    # The checks every Gramian of the bank and of gramian_direct passes:
+    # finite, symmetric within SYMMETRY_RTOL of its largest entry, and PSD
+    # within PSD_RTOL / PSD_FLOOR. Returns the (k, n, n) stack symmetrized as
+    # (M + M^T)/2 and read-only; masks[j] names member j in the PSD error.
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("Gramian contains non-finite entries")
+    flipped = np.swapaxes(stack, -1, -2)
+    scale = np.max(np.abs(stack), axis=(1, 2))
+    asym = np.max(np.abs(stack - flipped), axis=(1, 2))
+    bad = np.flatnonzero(asym > SYMMETRY_RTOL * scale)
+    if bad.size:
+        j = bad[0]
         raise ValueError(
-            f"{what} must be a non-empty square matrix, got shape {m.shape}"
+            f"Gramian is not symmetric within tolerance "
+            f"(max asymmetry {asym[j]:.3e}, max entry {scale[j]:.3e})"
         )
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{what} contains non-finite entries")
-    scale = float(np.max(np.abs(m)))
-    asym = float(np.max(np.abs(m - m.T)))
-    if asym > SYMMETRY_RTOL * scale:
+    sym = (stack + flipped) / 2.0
+    eigs = np.linalg.eigvalsh(sym)
+    tol = np.maximum(PSD_RTOL * eigs[:, -1], PSD_FLOOR)
+    bad = np.flatnonzero(eigs[:, 0] < -tol)
+    if bad.size:
+        j = bad[0]
         raise ValueError(
-            f"{what} is not symmetric within tolerance "
-            f"(max asymmetry {asym:.3e}, max entry {scale:.3e})"
+            f"Gramian for coalition {_label(masks[j])} is not positive "
+            f"semidefinite (minimum eigenvalue {eigs[j, 0]:.6e})"
         )
-    return m
+    sym.setflags(write=False)
+    return sym
 
 
-def symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a real symmetric matrix, in ascending order.
-
-    The input must be symmetric within ``SYMMETRY_RTOL`` relative to its
-    largest entry; it is symmetrized as (M + M^T)/2 before the solve so the
-    result is deterministic for a given input.
-    """
-    m = _check_symmetric(m, "matrix")
-    return np.linalg.eigvalsh((m + m.T) / 2.0)
-
-
-@dataclass(frozen=True, eq=False)
-class Gramian:
-    """Symmetric PSD observability Gramian of one sensor coalition.
-
-    Construction symmetrizes the entries as (M + M^T)/2 to absorb
-    floating-point drift, then rejects inputs that are asymmetric beyond
-    tolerance or have an eigenvalue below -max(PSD_RTOL * lambda_max,
-    PSD_FLOOR). These are the checks every Gramian entering the bank passes.
-    """
-
-    entries: np.ndarray
-    coalition: Coalition
-
-    def __post_init__(self):
-        m = _check_symmetric(self.entries, "Gramian")
-        sym = (m + m.T) / 2.0
-        sym.setflags(write=False)
-        object.__setattr__(self, "entries", sym)
-        eigs = np.linalg.eigvalsh(sym)
-        tol = max(PSD_RTOL * float(eigs[-1]), PSD_FLOOR)
-        if float(eigs[0]) < -tol:
-            raise ValueError(
-                f"Gramian for coalition {self.coalition} is not positive "
-                f"semidefinite (minimum eigenvalue {eigs[0]:.6e})"
-            )
-
-
-def _coalition_rows(model: LtiModel, coalition: Coalition) -> np.ndarray:
-    if coalition.members and coalition.members[-1] >= model.sensor_count:
+def _coalition_rows(model: LtiModel, mask: int) -> np.ndarray:
+    if not isinstance(mask, Integral) or isinstance(mask, bool):
+        raise ValueError(f"coalition bitmask must be an integer, got {mask!r}")
+    mask = int(mask)
+    if mask < 0:
+        raise ValueError(f"coalition bitmask must be non-negative, got {mask}")
+    if mask >> model.sensor_count:
         raise ValueError(
-            f"coalition {coalition} references sensor index "
-            f"{coalition.members[-1]} but only {model.sensor_count} sensors exist"
+            f"coalition {_label(mask)} references sensor index "
+            f"{mask.bit_length() - 1} but only {model.sensor_count} sensors exist"
         )
-    if not coalition.members:
+    if not mask:
         raise ValueError("empty coalition has no observability matrix")
-    return np.vstack([model.sensors[i].row for i in coalition])
+    return np.vstack([model.sensors[i].row for i in _members(mask)])
 
 
-def _blocks(model: LtiModel, coalition: Coalition):
+def _blocks(model: LtiModel, mask: int):
     # C_S A^k for k = 0..K. Powers of the state matrix are accumulated by
     # repeated multiplication, which stays well defined for defective
     # (non-diagonalizable) dynamics.
-    rows = _coalition_rows(model, coalition)
+    rows = _coalition_rows(model, mask)
     power = np.eye(model.state_dimension)
     for _ in range(model.horizon_samples):
         yield rows @ power
         power = power @ model.state_matrix
 
 
-def observability_matrix(model: LtiModel, coalition: Coalition) -> np.ndarray:
-    """The stacked blocks C_S A^k for k = 0..K of a non-empty coalition, as a
-    read-only array with (K+1) * |S| rows."""
+def observability_matrix(model: LtiModel, mask: int) -> np.ndarray:
+    """The stacked blocks C_S A^k for k = 0..K of the non-empty coalition
+    with membership bitmask ``mask``, as a read-only array with
+    (K+1) * |S| rows."""
     require_valid(model)
-    stacked = np.vstack(list(_blocks(model, coalition)))
+    stacked = np.vstack(list(_blocks(model, mask)))
     stacked.setflags(write=False)
     return stacked
 
 
-def _direct_sum(model: LtiModel, coalition: Coalition) -> np.ndarray:
+def _direct_sum(model: LtiModel, mask: int) -> np.ndarray:
     # sum_k (C_S A^k)^T (C_S A^k) for an already validated model. Overflow is
     # left to the callers' finiteness checks instead of leaking warnings.
     n = model.state_dimension
     acc = np.zeros((n, n))
     with np.errstate(over="ignore", invalid="ignore"):
-        for block in _blocks(model, coalition):
+        for block in _blocks(model, mask):
             acc += block.T @ block
     return acc
 
 
-def gramian_direct(model: LtiModel, coalition: Coalition) -> Gramian:
-    """Build a coalition Gramian straight from its definition.
+def gramian_direct(model: LtiModel, mask: int) -> np.ndarray:
+    """Build the Gramian of the coalition with membership bitmask ``mask``
+    straight from its definition, as a read-only ``(n, n)`` array.
 
     Accumulates sum_k (C_S A^k)^T (C_S A^k) over the sample window. This is
     the reference construction; production paths sum the per-sensor bank
     instead (see ``coalition_gramians``).
     """
     require_valid(model)
-    return Gramian(_direct_sum(model, coalition), coalition)
+    return _checked_gramians(_direct_sum(model, mask)[None], [mask])[0]
 
 
 def per_sensor_gramians(model: LtiModel) -> np.ndarray:
     """The bank: all p single-sensor Gramians, built once, as a read-only
     ``(p, n, n)`` array index-aligned with the model's sensors.
 
-    Each member passes the :class:`Gramian` checks (finite, symmetric, PSD).
-    Dynamics that overflow within the window are rejected with a
-    ``ValueError`` naming the sensor and the horizon.
+    The members pass the checks of ``gramian_direct`` (finite, symmetric,
+    PSD) as one stack. Dynamics that overflow within the window are rejected
+    with a ``ValueError`` naming the sensor and the horizon.
     """
     require_valid(model)
     n, h = model.state_dimension, model.horizon_samples
     bank = np.empty((model.sensor_count, n, n))
     for i, sensor in enumerate(model.sensors):
-        acc = _direct_sum(model, Coalition((i,)))
-        if not np.all(np.isfinite(acc)):
+        bank[i] = _direct_sum(model, 1 << i)
+        if not np.all(np.isfinite(bank[i])):
             raise ValueError(
                 f"Gramian of sensor {sensor.name!r} overflows to non-finite "
                 f"values over {h} samples: the dynamics grow too fast for "
                 f"this horizon"
             )
-        bank[i] = Gramian(acc, Coalition((i,))).entries
-    bank.setflags(write=False)
-    return bank
+    return _checked_gramians(bank, [1 << i for i in range(len(bank))])
 
 
 def pack_masks(members: np.ndarray) -> np.ndarray:

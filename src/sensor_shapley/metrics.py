@@ -35,8 +35,8 @@ __all__ = [
     "value_table",
 ]
 
-# Coalition Gramians are stacked and evaluated in chunks of about this many
-# bytes, so a table's peak memory does not grow with 2^p.
+# The coalition Gramians are stacked and evaluated in chunks of about this
+# many bytes, so a table's peak memory does not grow with 2^p.
 _CHUNK_BYTES = 1 << 24
 
 
@@ -100,18 +100,39 @@ def coalition_values(
     read-only table indexed by bitmask, with the empty coalition at exactly
     0. Gramians are stacked and evaluated in chunks of bounded memory.
     """
-    if masks is None:
-        table = np.zeros(1 << bank.shape[0])
-        table[1:] = coalition_values(bank, kind, np.arange(1, table.size))
-        table.setflags(write=False)
-        return table
     n = bank.shape[-1]
     chunk = max(1, _CHUNK_BYTES // (8 * n * n))
+    if masks is None:
+        return _table(bank, kind, chunk)
     values = np.empty(len(masks))
     for start in range(0, len(masks), chunk):
         batch = masks[start : start + chunk]
         values[start : start + chunk] = evaluate(kind, coalition_gramians(bank, batch))
     return values
+
+
+def _table(bank: np.ndarray, kind: ValueFunctionKind, chunk: int) -> np.ndarray:
+    # All 2^p Gramians over the low c sensors (2^c <= chunk) by the
+    # highest-set-bit recursion W[2^i : 2^(i+1)] = W[:2^i] + G[i]; each chunk
+    # of 2^c masks then adds its high members in ascending order. Members are
+    # summed in ascending sensor index, as in coalition_gramians, so the bits
+    # match it.
+    p = bank.shape[0]
+    c = min(p, chunk.bit_length() - 1)
+    low = np.zeros((1 << c,) + bank.shape[1:])
+    table = np.empty(1 << p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(c):
+            np.add(low[: 1 << i], bank[i], out=low[1 << i : 2 << i])
+        for start in range(0, 1 << p, 1 << c):
+            high = [i for i in range(c, p) if start >> i & 1]
+            stack = low + bank[high[0]] if high else low
+            for i in high[1:]:
+                stack += bank[i]
+            table[start : start + (1 << c)] = evaluate(kind, stack)
+    table[0] = 0.0
+    table.setflags(write=False)
+    return table
 
 
 def value_table(
@@ -120,7 +141,7 @@ def value_table(
     """Evaluate the metric on every one of the 2^p coalitions of a model.
 
     Returns the 2^p values indexed by membership bitmask (bit i set means
-    sensor i is a member). Coalition Gramians are sums of the per-sensor
+    sensor i is a member). The coalition Gramians are sums of the per-sensor
     bank, so the model's dynamics are only propagated p times regardless of
     how many coalitions exist. Sensor counts above ``cap`` raise
     :class:`~sensor_shapley.model.EnumerationCapExceeded`.

@@ -1,9 +1,13 @@
-"""Domain types for discrete-time LTI models, sensors, and sensor coalitions.
+"""Domain types for discrete-time LTI models and sensors.
 
 The dynamics are x[k+1] = A x[k] with per-sensor outputs y_i[k] = c_i x[k],
 where A is the square state matrix and c_i is the row vector of sensor i.
 Outputs are accumulated over a finite window of ``horizon_samples`` time
 steps (k = 0 .. horizon_samples - 1).
+
+A sensor coalition is not a type of its own: everywhere in the package it is
+a membership bitmask over the model's sensor indices (bit i set means sensor
+i is a member; see :mod:`~sensor_shapley.gramian`).
 
 All types here are immutable after construction and safe to share across
 threads. Model validation is data, not an exception: ``validate_model``
@@ -15,18 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Iterator
 
 import numpy as np
 
 __all__ = [
     "ENUMERATION_CAP",
-    "Coalition",
     "EnumerationCapExceeded",
     "LtiModel",
     "Sensor",
     "ValidationResult",
-    "full_coalition",
     "require_enumerable",
     "require_valid",
     "validate_model",
@@ -87,14 +88,6 @@ class LtiModel:
     @property
     def sensor_count(self) -> int:
         return len(self.sensors)
-
-    @property
-    def sensor_names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.sensors)
-
-    def measurement_matrix(self) -> np.ndarray:
-        """All sensor rows stacked in index order (p x n)."""
-        return np.vstack([s.row for s in self.sensors])
 
 
 @dataclass(frozen=True)
@@ -164,60 +157,6 @@ def require_valid(model: LtiModel) -> None:
     result = validate_model(model)
     if not result.ok:
         raise ValueError("invalid model: " + "; ".join(result.violations))
-
-
-@dataclass(frozen=True)
-class Coalition:
-    """An immutable subset of sensor indices with set semantics.
-
-    Members are stored deduplicated in ascending order, so iteration order,
-    equality, hashing, and the bitmask encoding are all canonical. The empty
-    coalition is allowed.
-    """
-
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        canonical = []
-        for m in set(self.members):
-            if not isinstance(m, Integral) or isinstance(m, bool):
-                raise ValueError(f"sensor index must be an integer, got {m!r}")
-            if m < 0:
-                raise ValueError(f"sensor index must be non-negative, got {m}")
-            canonical.append(int(m))
-        object.__setattr__(self, "members", tuple(sorted(canonical)))
-
-    @classmethod
-    def from_bitmask(cls, mask: int) -> "Coalition":
-        """Decode a membership bitmask (bit i set means sensor i is a member)."""
-        if mask < 0:
-            raise ValueError(f"bitmask must be non-negative, got {mask}")
-        return cls(tuple(i for i in range(mask.bit_length()) if mask >> i & 1))
-
-    @property
-    def bitmask(self) -> int:
-        mask = 0
-        for m in self.members:
-            mask |= 1 << m
-        return mask
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, index: object) -> bool:
-        return index in self.members
-
-    def __str__(self) -> str:
-        return "{" + ", ".join(str(m) for m in self.members) + "}"
-
-
-def full_coalition(model: LtiModel) -> Coalition:
-    """The coalition of every sensor in the model: {0, ..., p-1}."""
-    require_valid(model)
-    return Coalition(tuple(range(model.sensor_count)))
 
 
 def require_enumerable(model: LtiModel, cap: int = ENUMERATION_CAP) -> None:

@@ -38,13 +38,7 @@ from .gramian import (
     per_sensor_gramians,
 )
 from .metrics import ValueFunctionKind, coalition_values, evaluate
-from .model import (
-    ENUMERATION_CAP,
-    Coalition,
-    LtiModel,
-    require_enumerable,
-    require_valid,
-)
+from .model import ENUMERATION_CAP, LtiModel, require_enumerable, require_valid
 
 __all__ = [
     "AttributionMethod",
@@ -281,9 +275,9 @@ def shapley_permutation_oracle(model: LtiModel, kind: ValueFunctionKind) -> np.n
     """Shapley values by enumerating all p! sensor orderings.
 
     Each sensor's value is the average, over every ordering, of the change it
-    causes when appended to the sensors before it. Coalition values are built
-    from the definition-level Gramian construction, independent of the value
-    table and subset-sum path, which makes this the cross-check for
+    causes when appended to the sensors before it. Each coalition's value is
+    built from the definition-level Gramian construction, independent of the
+    value table and subset-sum path, which makes this the cross-check for
     ``shapley_exact``. Limited to small sensor counts.
     """
     require_valid(model)
@@ -299,8 +293,7 @@ def shapley_permutation_oracle(model: LtiModel, kind: ValueFunctionKind) -> np.n
         try:
             return cache[mask]
         except KeyError:
-            gram = gramian_direct(model, Coalition.from_bitmask(mask))
-            value = float(evaluate(kind, gram.entries))
+            value = float(evaluate(kind, gramian_direct(model, mask)))
             cache[mask] = value
             return value
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from sensor_shapley import gramian, model, report, shapley
+from sensor_shapley import cli, gramian, model, report, shapley
 from sensor_shapley.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -211,6 +211,15 @@ class TestAnalyzeErrors:
     def test_unknown_metric(self, capsys):
         code, _, _ = run(capsys, "analyze", "--scenario", "1", "--metric", "det")
         assert code == 2
+
+    def test_negative_seed_rejected_by_the_parser(self, capsys, monkeypatch):
+        samplers = counting(monkeypatch, cli, "shapley_sampled")
+        code, out, err = run(
+            capsys, "analyze", "--scenario", "2", "--sample", "10", "--seed", "-1"
+        )
+        assert code == 2
+        assert out == "" and not samplers
+        assert "argument --seed: must be a non-negative integer, got -1" in err
 
     def test_cap_exceeded_without_sample(self, tmp_path, capsys):
         payload = {

@@ -5,29 +5,26 @@ import pytest
 from hypothesis import given, settings
 
 from sensor_shapley import (
-    Coalition,
-    Gramian,
     LtiModel,
     Sensor,
     coalition_gramians,
-    full_coalition,
     gramian_direct,
     is_observable,
     observability_matrix,
     pack_masks,
     per_sensor_gramians,
-    symmetric_eigenvalues,
 )
+from sensor_shapley import gramian
 
 from conftest import gramian_corpus, lti_models, make_random_model
 
 
-def all_nonempty_coalitions(p):
-    return [Coalition.from_bitmask(m) for m in range(1, 1 << p)]
+def full_mask(model):
+    return (1 << model.sensor_count) - 1
 
 
-def coalition_gramian(bank, coalition):
-    return coalition_gramians(bank, np.array([coalition.bitmask]))[0]
+def coalition_gramian(bank, mask):
+    return coalition_gramians(bank, np.array([mask]))[0]
 
 
 class TestObservabilityMatrix:
@@ -35,7 +32,7 @@ class TestObservabilityMatrix:
         model = LtiModel(
             scenario1_model.state_matrix, scenario1_model.sensors, 2
         )
-        got = observability_matrix(model, Coalition((0, 1)))
+        got = observability_matrix(model, 0b11)
         expected = [[1, 1], [1, -1], [1, 1], [1, -1]]
         np.testing.assert_array_equal(got, expected)
 
@@ -45,51 +42,67 @@ class TestObservabilityMatrix:
         model = LtiModel(
             scenario2_model.state_matrix, scenario2_model.sensors, 3
         )
-        got = observability_matrix(model, Coalition((0,)))
+        got = observability_matrix(model, 1)
         np.testing.assert_array_equal(got, [[1, 0, 0], [1, 1, 0], [1, 2, 1]])
 
     def test_single_sample_is_the_row_itself(self, scenario2_model):
         model = LtiModel(
             scenario2_model.state_matrix, scenario2_model.sensors, 1
         )
-        got = observability_matrix(model, Coalition((2,)))
+        got = observability_matrix(model, 4)
         np.testing.assert_array_equal(got, [[1, 1, 0]])
 
     def test_row_count(self, scenario2_model):
-        got = observability_matrix(scenario2_model, Coalition((0, 3)))
+        got = observability_matrix(scenario2_model, 0b1001)
         assert got.shape == (10 * 2, 3)
         assert not got.flags.writeable
 
     def test_empty_coalition_rejected(self, scenario1_model):
         with pytest.raises(ValueError, match="empty coalition"):
-            observability_matrix(scenario1_model, Coalition(()))
+            observability_matrix(scenario1_model, 0)
 
     def test_out_of_range_sensor_rejected(self, scenario1_model):
         with pytest.raises(ValueError, match="sensor index"):
-            observability_matrix(scenario1_model, Coalition((5,)))
+            observability_matrix(scenario1_model, 32)
 
 
 class TestGramianDirect:
     def test_static_dynamics_scale_with_horizon(self, scenario1_model):
-        got = gramian_direct(scenario1_model, Coalition((0,)))
-        np.testing.assert_allclose(got.entries, 10.0 * np.array([[1, 1], [1, 1]]))
+        got = gramian_direct(scenario1_model, 1)
+        np.testing.assert_allclose(got, 10.0 * np.array([[1, 1], [1, 1]]))
 
     def test_last_state_sensor(self, scenario2_model):
-        got = gramian_direct(scenario2_model, Coalition((3,)))
-        np.testing.assert_allclose(got.entries, np.diag([0.0, 0.0, 10.0]))
-        assert np.trace(got.entries) == pytest.approx(10.0)
+        got = gramian_direct(scenario2_model, 8)
+        np.testing.assert_allclose(got, np.diag([0.0, 0.0, 10.0]))
+        assert np.trace(got) == pytest.approx(10.0)
 
     def test_single_sample_is_outer_product(self, scenario2_model):
         model = LtiModel(
             scenario2_model.state_matrix, scenario2_model.sensors, 1
         )
-        got = gramian_direct(model, Coalition((0, 2)))
+        got = gramian_direct(model, 0b101)
         rows = np.array([[1.0, 0, 0], [1.0, 1, 0]])
-        np.testing.assert_allclose(got.entries, rows.T @ rows)
+        np.testing.assert_allclose(got, rows.T @ rows)
 
     def test_empty_coalition_rejected(self, scenario1_model):
         with pytest.raises(ValueError, match="empty coalition"):
-            gramian_direct(scenario1_model, Coalition(()))
+            gramian_direct(scenario1_model, 0)
+
+    def test_mask_must_be_a_non_negative_integer(self, scenario1_model):
+        for bad in (1.0, True, "1", None):
+            with pytest.raises(ValueError, match="must be an integer"):
+                gramian_direct(scenario1_model, bad)
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            gramian_direct(scenario1_model, -1)
+        np.testing.assert_array_equal(
+            gramian_direct(scenario1_model, np.int64(3)),
+            gramian_direct(scenario1_model, 3),
+        )
+
+    def test_out_of_range_error_names_the_coalition(self, scenario1_model):
+        expected = r"coalition \{0, 5\} references sensor index 5 but only 2"
+        with pytest.raises(ValueError, match=expected):
+            gramian_direct(scenario1_model, 0b100001)
 
 
 class TestPerSensorGramians:
@@ -107,15 +120,27 @@ class TestPerSensorGramians:
         model = LtiModel([[0.5]], (Sensor("a", [2.0]),), 4)
         bank = per_sensor_gramians(model)
         assert bank.shape == (1, 1, 1)
-        full = gramian_direct(model, full_coalition(model))
-        np.testing.assert_array_equal(bank[0], full.entries)
+        full = gramian_direct(model, full_mask(model))
+        np.testing.assert_array_equal(bank[0], full)
 
     def test_members_equal_direct_gramians_exactly(self, scenario2_model):
         bank = per_sensor_gramians(scenario2_model)
         assert not bank.flags.writeable
         for i in range(4):
-            direct = gramian_direct(scenario2_model, Coalition((i,)))
-            np.testing.assert_array_equal(bank[i], direct.entries)
+            direct = gramian_direct(scenario2_model, 1 << i)
+            np.testing.assert_array_equal(bank[i], direct)
+
+    def test_members_checked_with_one_eigen_solve(self, scenario2_model, monkeypatch):
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        per_sensor_gramians(scenario2_model)
+        assert calls == [(4, 3, 3)]
 
     def test_overflowing_dynamics_name_sensor_and_horizon(self):
         # the powers of A overflow, so even the first sensor's Gramian does
@@ -130,24 +155,24 @@ class TestPerSensorGramians:
 class TestCoalitionGramian:
     def test_pair_sum(self, scenario1_model):
         bank = per_sensor_gramians(scenario1_model)
-        got = coalition_gramian(bank, Coalition((0, 1)))
+        got = coalition_gramian(bank, 0b11)
         np.testing.assert_allclose(got, 10.0 * np.array([[2, 0], [0, 2]]))
 
     def test_empty_coalition_is_zero_matrix(self, scenario1_model):
         bank = per_sensor_gramians(scenario1_model)
-        got = coalition_gramian(bank, Coalition(()))
+        got = coalition_gramian(bank, 0)
         np.testing.assert_array_equal(got, np.zeros((2, 2)))
 
     def test_singleton_equals_bank_entry_exactly(self, scenario2_model):
         bank = per_sensor_gramians(scenario2_model)
         for i in range(4):
-            got = coalition_gramian(bank, Coalition((i,)))
+            got = coalition_gramian(bank, 1 << i)
             np.testing.assert_array_equal(got, bank[i])
 
     def test_out_of_range_rejected(self, scenario1_model):
         bank = per_sensor_gramians(scenario1_model)
         with pytest.raises(ValueError, match="sensor index"):
-            coalition_gramian(bank, Coalition((7,)))
+            coalition_gramian(bank, 128)
         with pytest.raises(ValueError, match="sensor index 70"):
             coalition_gramians(bank, pack_masks(np.eye(71, dtype=bool)[70:]))
 
@@ -184,71 +209,55 @@ class TestCoalitionGramian:
 
 
 class TestGramianType:
+    """The one stacked check every bank member and direct Gramian passes."""
+
     def test_rejects_asymmetric_entries(self):
-        with pytest.raises(ValueError, match="not symmetric"):
-            Gramian(np.array([[1.0, 2.0], [0.0, 1.0]]), Coalition((0,)))
+        stack = np.array([np.eye(2), [[1.0, 2.0], [0.0, 1.0]]])
+        expected = (
+            r"Gramian is not symmetric within tolerance "
+            r"\(max asymmetry 2\.000e\+00, max entry 2\.000e\+00\)"
+        )
+        with pytest.raises(ValueError, match=expected):
+            gramian._checked_gramians(stack, [1, 2])
 
     def test_rejects_indefinite_entries(self):
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            Gramian(np.array([[-1.0, 0.0], [0.0, 1.0]]), Coalition((0,)))
+        stack = np.array([np.eye(2), np.diag([-1.0, 1.0])])
+        expected = (
+            r"Gramian for coalition \{0, 2\} is not positive semidefinite "
+            r"\(minimum eigenvalue -1\.000000e\+00\)"
+        )
+        with pytest.raises(ValueError, match=expected):
+            gramian._checked_gramians(stack, [0b10, 0b101])
+
+    def test_rejects_non_finite_entries(self):
+        stack = np.array([np.eye(2), [[1.0, np.inf], [np.inf, 1.0]]])
+        with pytest.raises(ValueError, match="Gramian contains non-finite entries"):
+            gramian._checked_gramians(stack, [1, 2])
 
     def test_symmetrizes_fp_drift(self):
         drift = 1e-14
         m = np.array([[1.0, 0.5 + drift], [0.5 - drift, 1.0]])
-        g = Gramian(m, Coalition((0,)))
-        np.testing.assert_array_equal(g.entries, g.entries.T)
+        got = gramian._checked_gramians(np.array([m, m.T]), [1, 2])
+        np.testing.assert_array_equal(got, np.swapaxes(got, 1, 2))
+        np.testing.assert_array_equal(got[0], (m + m.T) / 2.0)
 
     def test_entries_read_only(self, scenario1_model):
-        g = gramian_direct(scenario1_model, Coalition((0,)))
-        with pytest.raises(ValueError):
-            g.entries[0, 0] = 5.0
-
-
-class TestSymmetricEigenvalues:
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            symmetric_eigenvalues(np.diag([2.0, 3.0])), [2.0, 3.0]
-        )
-
-    def test_rank_one(self):
-        # rank-1 matrix: eigenvalues are 0 and the trace
-        got = symmetric_eigenvalues(10.0 * np.ones((2, 2)))
-        np.testing.assert_allclose(got, [0.0, 20.0], atol=1e-12)
-
-    def test_zero_matrix(self):
-        np.testing.assert_array_equal(
-            symmetric_eigenvalues(np.zeros((3, 3))), [0.0, 0.0, 0.0]
-        )
-
-    def test_ascending_order(self):
-        got = symmetric_eigenvalues(np.diag([5.0, -1.0, 3.0]))
-        np.testing.assert_allclose(got, [-1.0, 3.0, 5.0])
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="not symmetric"):
-            symmetric_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            symmetric_eigenvalues(np.ones((2, 3)))
-
-    def test_recovers_spectrum_of_known_decomposition(self):
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            n = int(rng.integers(1, 7))
-            d = np.sort(rng.uniform(-5.0, 5.0, size=n))
-            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-            got = symmetric_eigenvalues(q @ np.diag(d) @ q.T)
-            np.testing.assert_allclose(got, d, atol=1e-8)
+        for g in (
+            gramian_direct(scenario1_model, 1),
+            per_sensor_gramians(scenario1_model),
+            gramian._checked_gramians(np.array([np.eye(2)]), [1]),
+        ):
+            with pytest.raises(ValueError):
+                g[0, 0] = 5.0
 
 
 class TestGramianIdentities:
     @settings(max_examples=60, deadline=None)
     @given(lti_models(max_states=4, max_sensors=4, max_horizon=8))
     def test_direct_equals_stacked_product(self, model):
-        for coalition in all_nonempty_coalitions(model.sensor_count):
-            direct = gramian_direct(model, coalition).entries
-            stacked = observability_matrix(model, coalition)
+        for mask in range(1, 1 << model.sensor_count):
+            direct = gramian_direct(model, mask)
+            stacked = observability_matrix(model, mask)
             np.testing.assert_allclose(
                 direct, stacked.T @ stacked, rtol=1e-9, atol=1e-12
             )
@@ -257,8 +266,8 @@ class TestGramianIdentities:
     @given(lti_models(max_states=4, max_sensors=4, max_horizon=8))
     def test_bank_sum_equals_direct(self, model):
         bank = per_sensor_gramians(model)
-        full = full_coalition(model)
-        direct = gramian_direct(model, full).entries
+        full = full_mask(model)
+        direct = gramian_direct(model, full)
         summed = coalition_gramian(bank, full)
         scale = max(1e-30, float(np.max(np.abs(direct))))
         np.testing.assert_allclose(summed, direct, rtol=1e-10, atol=1e-10 * scale)
@@ -295,16 +304,16 @@ class TestGramianIdentities:
 
 class TestIsObservable:
     def test_full_coalition_observable(self, scenario1_model):
-        g = gramian_direct(scenario1_model, full_coalition(scenario1_model))
-        assert is_observable(g.entries) is True
+        g = gramian_direct(scenario1_model, full_mask(scenario1_model))
+        assert is_observable(g) is True
 
     def test_single_sensor_not_observable(self, scenario1_model):
-        g = gramian_direct(scenario1_model, Coalition((0,)))
-        assert is_observable(g.entries) is False
+        g = gramian_direct(scenario1_model, 1)
+        assert is_observable(g) is False
 
     def test_zero_gramian_not_observable(self, scenario1_model):
         bank = per_sensor_gramians(scenario1_model)
-        g = coalition_gramian(bank, Coalition(()))
+        g = coalition_gramian(bank, 0)
         assert not is_observable(g)
 
     def test_stack_gives_one_verdict_per_gramian(self, scenario2_model):
@@ -313,7 +322,7 @@ class TestIsObservable:
         assert verdicts.tolist() == [True, True, False, True, False]
 
     def test_explicit_tolerance(self, scenario1_model):
-        g = gramian_direct(scenario1_model, full_coalition(scenario1_model)).entries
+        g = gramian_direct(scenario1_model, full_mask(scenario1_model))
         assert is_observable(g, tol=1.0)
         assert not is_observable(g, tol=25.0)
         with pytest.raises(ValueError, match="positive"):

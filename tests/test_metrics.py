@@ -127,6 +127,25 @@ class TestValueTable:
         for a, b in zip(whole, chunked):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("p, budget", [(1, 1), (5, 6), (13, 6)])
+    def test_subset_recursion_matches_mask_batches(self, monkeypatch, p, budget):
+        # the table's recursion over the low sensors, with chunks of 2^c
+        # coalitions adding their high members, against plain mask batches;
+        # a 6-coalition budget gives 4-coalition table chunks
+        rng = np.random.default_rng(p)
+        n = 3
+        model = LtiModel(
+            rng.uniform(-1.0, 1.0, size=(n, n)),
+            tuple(Sensor(f"s{i}", rng.uniform(-1.0, 1.0, size=n)) for i in range(p)),
+            6,
+        )
+        bank = per_sensor_gramians(model)
+        monkeypatch.setattr(metrics, "_CHUNK_BYTES", budget * 8 * n * n)
+        for kind in (TRACE, MIN_EIG):
+            table = coalition_values(bank, kind)
+            batched = coalition_values(bank, kind, np.arange(2**p))
+            assert table.tobytes() == batched.tobytes()
+
     def test_batch_values_match_the_table(self, scenario2_model):
         bank = per_sensor_gramians(scenario2_model)
         table = coalition_values(bank, MIN_EIG)

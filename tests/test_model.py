@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from sensor_shapley import (
-    Coalition,
     EnumerationCapExceeded,
     LtiModel,
     Sensor,
-    full_coalition,
     require_valid,
     validate_model,
 )
@@ -84,55 +81,6 @@ class TestValidateModel:
             model.state_matrix[0, 0] = 2.0
         with pytest.raises(ValueError):
             model.sensors[0].row[0] = 2.0
-
-
-class TestCoalition:
-    def test_members_sorted_and_deduplicated(self):
-        c = Coalition((3, 1, 3, 0))
-        assert c.members == (0, 1, 3)
-        assert list(c) == [0, 1, 3]
-        assert len(c) == 3
-        assert 1 in c and 2 not in c
-
-    def test_empty_coalition(self):
-        c = Coalition(())
-        assert len(c) == 0
-        assert c.bitmask == 0
-
-    def test_rejects_negative_index(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            Coalition((-1,))
-
-    def test_rejects_non_integer(self):
-        with pytest.raises(ValueError, match="integer"):
-            Coalition((1.5,))
-
-    def test_bitmask_round_trip(self):
-        c = Coalition((0, 2, 5))
-        assert c.bitmask == 0b100101
-        assert Coalition.from_bitmask(c.bitmask) == c
-
-    def test_equality_is_set_like(self):
-        assert Coalition((2, 1)) == Coalition((1, 2, 2))
-        assert hash(Coalition((2, 1))) == hash(Coalition((1, 2)))
-
-    @given(st.lists(st.integers(0, 40)))
-    def test_canonical_order_for_any_construction(self, raw):
-        c = Coalition(tuple(raw))
-        assert list(c.members) == sorted(set(raw))
-        assert Coalition.from_bitmask(c.bitmask) == c
-
-
-class TestFullCoalition:
-    def test_two_sensors(self, scenario1_model):
-        assert full_coalition(scenario1_model) == Coalition((0, 1))
-
-    def test_four_sensors(self, scenario2_model):
-        assert full_coalition(scenario2_model) == Coalition((0, 1, 2, 3))
-
-    def test_single_sensor(self):
-        model = LtiModel([[1.0]], (Sensor("a", [1.0]),), 3)
-        assert full_coalition(model) == Coalition((0,))
 
 
 class TestRequireEnumerable:

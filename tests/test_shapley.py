@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from sensor_shapley import (
-    Coalition,
     EnumerationCapExceeded,
     LtiModel,
     Sensor,
