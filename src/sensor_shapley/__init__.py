@@ -35,9 +35,6 @@ from .model import (
 from .report import (
     ModelDocument,
     ModelDocumentError,
-    ReportDocument,
-    build_report,
-    parse_model,
     parse_model_document,
     render_json,
     render_model_document,
@@ -49,12 +46,10 @@ from .shapley import (
     AttributionResult,
     AxiomReport,
     SensorAttribution,
-    ShapleyWeights,
     shapley_exact,
     shapley_from_table,
     shapley_permutation_oracle,
     shapley_sampled,
-    shapley_weight,
     verify_axioms,
 )
 
@@ -70,13 +65,10 @@ __all__ = [
     "LtiModel",
     "ModelDocument",
     "ModelDocumentError",
-    "ReportDocument",
     "Sensor",
     "SensorAttribution",
-    "ShapleyWeights",
     "ValidationResult",
     "ValueFunctionKind",
-    "build_report",
     "coalition_gramians",
     "coalition_values",
     "emit_scenarios",
@@ -85,7 +77,6 @@ __all__ = [
     "is_observable",
     "observability_matrix",
     "pack_masks",
-    "parse_model",
     "parse_model_document",
     "per_sensor_gramians",
     "render_json",
@@ -97,7 +88,6 @@ __all__ = [
     "shapley_from_table",
     "shapley_permutation_oracle",
     "shapley_sampled",
-    "shapley_weight",
     "validate_model",
     "value_table",
     "verify_axioms",

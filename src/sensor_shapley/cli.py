@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -34,7 +35,6 @@ from .model import EnumerationCapExceeded, validate_model
 from .report import (
     ModelDocument,
     ModelDocumentError,
-    build_report,
     parse_model_document,
     render_json,
     render_table,
@@ -45,25 +45,29 @@ from .shapley import shapley_exact, shapley_sampled, verify_axioms
 __all__ = ["main", "main_entry"]
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+def _number(text: str, convert, accept, wording: str):
+    # A ValueError from a type= callable makes argparse print the callable's
+    # name, so text that does not convert gets the out-of-range wording too.
+    error = argparse.ArgumentTypeError(f"must be {wording}, got {text}")
+    try:
+        value = convert(text)
+    except ValueError:
+        raise error from None
+    if not accept(value):
+        raise error
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _number(text, int, lambda v: v >= 1, "a positive integer")
 
 
 def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
-    return value
+    return _number(text, int, lambda v: v >= 0, "a non-negative integer")
 
 
 def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
-    return value
+    return _number(text, float, lambda v: 0 < v < math.inf, "a positive number")
 
 
 def _add_model_source(parser: argparse.ArgumentParser) -> None:
@@ -176,11 +180,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         except EnumerationCapExceeded as err:
             _fail(str(err))
             return 3
-        axioms = verify_axioms(model, kind, result)
+        axioms = verify_axioms(result)
     observable = is_observable(result.grand_gramian, args.tolerance)
-    report = build_report(doc.name or "model", result, observable, axioms)
-    rendered = render_json(report) if args.format == "json" else render_table(report)
-    sys.stdout.write(rendered)
+    render = render_json if args.format == "json" else render_table
+    sys.stdout.write(render(doc.name or "model", result, observable, axioms))
     return 0
 
 
@@ -221,13 +224,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check":
             return _cmd_check(args)
         return _cmd_emit(args)
-    except ModelDocumentError as err:
-        _fail(str(err))
-        return 2
-    except OSError as err:
-        _fail(str(err))
-        return 2
-    except ValueError as err:
+    except (OSError, ValueError) as err:  # ModelDocumentError is a ValueError
         _fail(str(err))
         return 2
 

@@ -224,10 +224,11 @@ def is_observable(gramians: np.ndarray, tol: float | None = None):
 
     Takes one ``(n, n)`` Gramian (returns a bool) or a ``(k, n, n)`` stack
     (returns a boolean array). ``tol`` is the strict lower bound the minimum
-    eigenvalue must exceed; by default 1e-9 * max(1, largest eigenvalue).
+    eigenvalue must exceed, a positive finite number; by default
+    1e-9 * max(1, largest eigenvalue).
     """
-    if tol is not None and tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if tol is not None and not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     eigs = np.linalg.eigvalsh(gramians)
     if tol is None:
         tol = 1e-9 * np.maximum(1.0, eigs[..., -1])

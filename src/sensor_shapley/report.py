@@ -14,7 +14,10 @@ unambiguous ground truth. Parse failures are reported in three distinct
 stages, each with a location: JSON syntax, document schema, and model
 validation.
 
-Reports come in two renderings: a human table whose columns are
+Reports are rendered straight from an
+:class:`~sensor_shapley.shapley.AttributionResult`, its
+:class:`~sensor_shapley.shapley.AxiomReport` (``None`` for sampled results)
+and the observability verdict, in two forms: a human table whose columns are
 Sensor | Value Function | Standalone Value | Shapley Value, and a JSON
 document with a fixed key layout and full-precision numbers so byte-level
 diffing of outputs is meaningful.
@@ -32,10 +35,6 @@ from .shapley import AttributionResult, AxiomReport
 __all__ = [
     "ModelDocument",
     "ModelDocumentError",
-    "PerSensorReport",
-    "ReportDocument",
-    "build_report",
-    "parse_model",
     "parse_model_document",
     "render_json",
     "render_model_document",
@@ -168,11 +167,6 @@ def parse_model_document(text: str) -> ModelDocument:
     return ModelDocument(name, model)
 
 
-def parse_model(text: str) -> LtiModel:
-    """Parse a strict-JSON model document, returning just the model."""
-    return parse_model_document(text).model
-
-
 def render_model_document(doc: ModelDocument) -> str:
     """Serialize a model document to the strict JSON format, round-trip exact."""
     payload: dict[str, Any] = {}
@@ -187,65 +181,6 @@ def render_model_document(doc: ModelDocument) -> str:
     ]
     payload["horizon_samples"] = int(doc.model.horizon_samples)
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-
-
-@dataclass(frozen=True)
-class PerSensorReport:
-    """One report row; ``share_of_total`` is omitted when the grand value is 0."""
-
-    name: str
-    standalone: float
-    shapley: float
-    share_of_total: float | None
-
-
-@dataclass(frozen=True)
-class ReportDocument:
-    """Complete attribution report for one model and metric."""
-
-    model_name: str
-    metric: str
-    horizon_samples: int
-    method: dict[str, Any]
-    observable: bool
-    grand_value: float
-    efficiency_residual: float
-    per_sensor: tuple[PerSensorReport, ...]
-    axiom_report: AxiomReport | None
-
-
-def build_report(
-    model_name: str,
-    result: AttributionResult,
-    observable: bool,
-    axiom_report: AxiomReport | None,
-) -> ReportDocument:
-    """Assemble the report document from an attribution result."""
-    method: dict[str, Any] = {"kind": result.method.kind}
-    if result.method.kind != "exact":
-        method["num_permutations"] = result.method.num_permutations
-        method["seed"] = result.method.seed
-    grand = result.grand_value
-    per_sensor = tuple(
-        PerSensorReport(
-            name=s.name,
-            standalone=s.standalone,
-            shapley=s.shapley,
-            share_of_total=s.shapley / grand if grand > 0 else None,
-        )
-        for s in result.sensors
-    )
-    return ReportDocument(
-        model_name=model_name,
-        metric=result.metric.cli_name,
-        horizon_samples=result.horizon_samples,
-        method=method,
-        observable=observable,
-        grand_value=grand,
-        efficiency_residual=result.efficiency_residual,
-        per_sensor=per_sensor,
-        axiom_report=axiom_report,
-    )
 
 
 def _axioms_to_dict(axioms: AxiomReport | None) -> dict[str, Any] | None:
@@ -278,32 +213,44 @@ def _axioms_to_dict(axioms: AxiomReport | None) -> dict[str, Any] | None:
     }
 
 
-def render_json(report: ReportDocument) -> str:
+def render_json(
+    model_name: str,
+    result: AttributionResult,
+    observable: bool,
+    axioms: AxiomReport | None,
+) -> str:
     """Schema-stable JSON rendering: fixed key order, full-precision floats.
 
     Numbers are emitted in Python's shortest exact round-trip form, so every
-    significant digit of the underlying double survives into the file.
+    significant digit of the underlying double survives into the file. Each
+    sensor's ``share_of_total`` is omitted when the grand value is not
+    positive.
     """
+    method: dict[str, Any] = {"kind": result.method.kind}
+    if result.method.kind != "exact":
+        method["num_permutations"] = result.method.num_permutations
+        method["seed"] = result.method.seed
+    grand = result.grand_value
     per_sensor = []
-    for row in report.per_sensor:
+    for s in result.sensors:
         entry: dict[str, Any] = {
-            "name": row.name,
-            "standalone": row.standalone,
-            "shapley": row.shapley,
+            "name": s.name,
+            "standalone": s.standalone,
+            "shapley": s.shapley,
         }
-        if row.share_of_total is not None:
-            entry["share_of_total"] = row.share_of_total
+        if grand > 0:
+            entry["share_of_total"] = s.shapley / grand
         per_sensor.append(entry)
     payload = {
-        "model_name": report.model_name,
-        "metric": report.metric,
-        "horizon_samples": report.horizon_samples,
-        "method": report.method,
-        "observable": report.observable,
-        "grand_value": report.grand_value,
-        "efficiency_residual": report.efficiency_residual,
+        "model_name": model_name,
+        "metric": result.metric.cli_name,
+        "horizon_samples": result.horizon_samples,
+        "method": method,
+        "observable": observable,
+        "grand_value": grand,
+        "efficiency_residual": result.efficiency_residual,
         "per_sensor": per_sensor,
-        "axiom_report": _axioms_to_dict(report.axiom_report),
+        "axiom_report": _axioms_to_dict(axioms),
     }
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
@@ -312,12 +259,18 @@ def _fmt(value: float) -> str:
     return f"{value:.10g}"
 
 
-def render_table(report: ReportDocument) -> str:
+def render_table(
+    model_name: str,
+    result: AttributionResult,
+    observable: bool,
+    axioms: AxiomReport | None,
+) -> str:
     """Human-readable table mirroring the standalone/Shapley column layout."""
+    metric = result.metric.cli_name
     header = ("Sensor", "Value Function", "Standalone Value", "Shapley Value")
     rows = [
-        (row.name, report.metric, _fmt(row.standalone), _fmt(row.shapley))
-        for row in report.per_sensor
+        (s.name, metric, _fmt(s.standalone), _fmt(s.shapley))
+        for s in result.sensors
     ]
     widths = [
         max(len(header[c]), *(len(r[c]) for r in rows)) for c in range(len(header))
@@ -326,25 +279,24 @@ def render_table(report: ReportDocument) -> str:
     def line(cells) -> str:
         return "  ".join(cell.ljust(w) for cell, w in zip(cells, widths)).rstrip()
 
-    method = report.method["kind"]
+    method = result.method.kind
     if method != "exact":
         method += (
-            f" ({report.method['num_permutations']} permutations, "
-            f"seed {report.method['seed']})"
+            f" ({result.method.num_permutations} permutations, "
+            f"seed {result.method.seed})"
         )
     out = [
-        f"model: {report.model_name}    metric: {report.metric}    "
-        f"horizon samples: {report.horizon_samples}    method: {method}",
+        f"model: {model_name}    metric: {metric}    "
+        f"horizon samples: {result.horizon_samples}    method: {method}",
         "",
         line(header),
         line(tuple("-" * w for w in widths)),
     ]
     out.extend(line(r) for r in rows)
     out.append("")
-    out.append(f"grand value:         {_fmt(report.grand_value)}")
-    out.append(f"efficiency residual: {_fmt(report.efficiency_residual)}")
-    out.append(f"fully observable:    {'yes' if report.observable else 'no'}")
-    axioms = report.axiom_report
+    out.append(f"grand value:         {_fmt(result.grand_value)}")
+    out.append(f"efficiency residual: {_fmt(result.efficiency_residual)}")
+    out.append(f"fully observable:    {'yes' if observable else 'no'}")
     if axioms is not None:
         pairs = (
             "; ".join(f"({p.first}, {p.second})" for p in axioms.symmetric_pairs)

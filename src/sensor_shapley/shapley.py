@@ -47,13 +47,11 @@ __all__ = [
     "DummyCheck",
     "EfficiencyCheck",
     "SensorAttribution",
-    "ShapleyWeights",
     "SymmetryCheck",
     "shapley_exact",
     "shapley_from_table",
     "shapley_permutation_oracle",
     "shapley_sampled",
-    "shapley_weight",
     "verify_axioms",
 ]
 
@@ -66,48 +64,6 @@ AXIOM_SAMPLE_SIZE = 4096
 _AXIOM_SAMPLE_SEED = 20_240_915
 
 EFFICIENCY_RTOL = 1e-6
-
-
-def shapley_weight(size: int, sensor_count: int) -> float:
-    """Weight of one coalition of ``size`` sensors in a p-sensor attribution.
-
-    Equals size! * (p - size - 1)! / p!, the fraction of sensor orderings in
-    which exactly that coalition precedes the sensor being valued. Evaluated
-    as 1 / (p * C(p-1, size)), which keeps every intermediate integer exact
-    in a float for any practical p.
-    """
-    if sensor_count < 1:
-        raise ValueError(f"sensor_count must be >= 1, got {sensor_count}")
-    if not 0 <= size <= sensor_count - 1:
-        raise ValueError(
-            f"coalition size must be in 0..{sensor_count - 1}, got {size}"
-        )
-    return 1.0 / (sensor_count * math.comb(sensor_count - 1, size))
-
-
-@dataclass(frozen=True)
-class ShapleyWeights:
-    """All coalition-size weights for a fixed sensor count.
-
-    ``weights[s]`` applies to every coalition of size s. Over all subsets of
-    the p-1 other sensors the weights sum to 1: a sensor can join every
-    coalition it is not already part of.
-    """
-
-    sensor_count: int
-    weights: tuple[float, ...]
-
-    @classmethod
-    def for_sensor_count(cls, sensor_count: int) -> "ShapleyWeights":
-        weights = tuple(
-            shapley_weight(s, sensor_count) for s in range(sensor_count)
-        )
-        total = sum(
-            math.comb(sensor_count - 1, s) * w for s, w in enumerate(weights)
-        )
-        if abs(total - 1.0) > 1e-12:
-            raise AssertionError(f"weight normalization off: {total!r}")
-        return cls(sensor_count, weights)
 
 
 @dataclass(frozen=True)
@@ -193,7 +149,10 @@ def shapley_from_table(values_by_bitmask: np.ndarray, sensor_count: int) -> np.n
         raise ValueError(
             f"expected {1 << sensor_count} coalition values, got {values.shape}"
         )
-    weights = np.array(ShapleyWeights.for_sensor_count(sensor_count).weights)
+    # The coalition-size weights w(s) = s! (p-s-1)! / p!, evaluated as
+    # 1 / (p * C(p-1, s)) so every intermediate integer is exact in a float.
+    p = sensor_count
+    weights = np.array([1.0 / (p * math.comb(p - 1, s)) for s in range(p)])
     masks = np.arange(1 << sensor_count, dtype=np.int64)
     sizes = np.bitwise_count(masks).astype(np.int64)
     phi = np.empty(sensor_count)
@@ -412,28 +371,21 @@ def _values_agree(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(np.all(np.abs(a - b) <= tol))
 
 
-def verify_axioms(
-    model: LtiModel, kind: ValueFunctionKind, result: AttributionResult
-) -> AxiomReport:
+def verify_axioms(result: AttributionResult) -> AxiomReport:
     """Check the efficiency, symmetry, and dummy axioms on an exact result.
 
-    The coalition values are the table the exact result carries, so
-    ``kind`` must be the result's metric. Symmetric pairs are sensors j, k
-    whose additions are interchangeable for every tested coalition
-    containing neither; dummies are sensors whose addition never changes any
-    tested coalition's value. Detected pairs must have equal Shapley values
-    and detected dummies must have Shapley value zero, both within 1e-6.
-    Failures are reported, not raised.
+    The coalition values are the table the exact result carries. Symmetric
+    pairs are sensors j, k whose additions are interchangeable for every
+    tested coalition containing neither; dummies are sensors whose addition
+    never changes any tested coalition's value. Detected pairs must have
+    equal Shapley values and detected dummies must have Shapley value zero,
+    both within 1e-6. Failures are reported, not raised.
     """
     values = result.values_by_bitmask
     if result.method.kind != "exact" or values is None:
         raise ValueError("axiom verification requires an exact attribution result")
-    if kind is not result.metric:
-        raise ValueError(
-            f"result was computed for metric {result.metric.cli_name!r}, "
-            f"not {kind.cli_name!r}"
-        )
-    p = model.sensor_count
+    names = [s.name for s in result.sensors]
+    p = len(names)
     phi = result.shapley_values
 
     residual, grand = result.efficiency_residual, result.grand_value
@@ -458,8 +410,8 @@ def verify_axioms(
                 gap = abs(float(phi[j]) - float(phi[k]))
                 symmetric_pairs.append(
                     SymmetryCheck(
-                        first=model.sensors[j].name,
-                        second=model.sensors[k].name,
+                        first=names[j],
+                        second=names[k],
                         shapley_gap=gap,
                         passed=gap <= 1e-6,
                     )
@@ -472,7 +424,7 @@ def verify_axioms(
             magnitude = abs(float(phi[j]))
             dummy_sensors.append(
                 DummyCheck(
-                    name=model.sensors[j].name,
+                    name=names[j],
                     shapley_magnitude=magnitude,
                     passed=magnitude <= 1e-6,
                 )

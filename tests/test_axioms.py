@@ -18,7 +18,7 @@ MIN_EIG = ValueFunctionKind.MIN_EIGENVALUE
 class TestVerifyAxioms:
     def test_complementary_pair_detected_as_symmetric(self, scenario1_model):
         result = shapley_exact(scenario1_model, MIN_EIG)
-        report = verify_axioms(scenario1_model, MIN_EIG, result)
+        report = verify_axioms(result)
         assert report.passed
         assert report.efficiency.passed
         pairs = {(p.first, p.second) for p in report.symmetric_pairs}
@@ -28,7 +28,7 @@ class TestVerifyAxioms:
 
     def test_efficiency_distributes_grand_min_eigenvalue(self, scenario2_model):
         result = shapley_exact(scenario2_model, MIN_EIG)
-        report = verify_axioms(scenario2_model, MIN_EIG, result)
+        report = verify_axioms(result)
         assert report.efficiency.passed
         assert sum(s.shapley for s in result.sensors) == pytest.approx(
             2.477, abs=1e-3
@@ -46,7 +46,7 @@ class TestVerifyAxioms:
         )
         for kind in (TRACE, MIN_EIG):
             result = shapley_exact(model, kind)
-            report = verify_axioms(model, kind, result)
+            report = verify_axioms(result)
             dummies = {d.name for d in report.dummy_sensors}
             assert dummies == {"dead"}
             assert all(d.passed for d in report.dummy_sensors)
@@ -59,14 +59,14 @@ class TestVerifyAxioms:
             5,
         )
         result = shapley_exact(model, MIN_EIG)
-        report = verify_axioms(model, MIN_EIG, result)
+        report = verify_axioms(result)
         pairs = {(p.first, p.second) for p in report.symmetric_pairs}
         assert ("x", "x2") in pairs
 
     def test_requires_exact_result(self, scenario2_model):
         sampled = shapley_sampled(scenario2_model, MIN_EIG, 50, seed=1)
         with pytest.raises(ValueError, match="exact"):
-            verify_axioms(scenario2_model, MIN_EIG, sampled)
+            verify_axioms(sampled)
 
     def test_reads_the_table_the_result_carries(self, scenario2_model, monkeypatch):
         result = shapley_exact(scenario2_model, MIN_EIG)
@@ -76,16 +76,11 @@ class TestVerifyAxioms:
 
         monkeypatch.setattr(shapley_module, "per_sensor_gramians", forbidden)
         monkeypatch.setattr(shapley_module, "coalition_values", forbidden)
-        assert verify_axioms(scenario2_model, MIN_EIG, result).passed
-
-    def test_metric_must_match_the_result(self, scenario2_model):
-        result = shapley_exact(scenario2_model, MIN_EIG)
-        with pytest.raises(ValueError, match="min-eig"):
-            verify_axioms(scenario2_model, TRACE, result)
+        assert verify_axioms(result).passed
 
     def test_no_false_positives_on_distinct_sensors(self, scenario2_model):
         result = shapley_exact(scenario2_model, MIN_EIG)
-        report = verify_axioms(scenario2_model, MIN_EIG, result)
+        report = verify_axioms(result)
         assert report.symmetric_pairs == ()
         assert report.dummy_sensors == ()
 
@@ -98,7 +93,7 @@ class TestVerifyAxioms:
         sensors += (Sensor("s0-copy", rows[0]),)
         model = LtiModel(np.eye(2), sensors, 3)
         result = shapley_exact(model, TRACE)
-        report = verify_axioms(model, TRACE, result)
+        report = verify_axioms(result)
         assert not report.exhaustive
         pairs = {(p.first, p.second) for p in report.symmetric_pairs}
         assert ("s0", "s0-copy") in pairs

@@ -1,0 +1,44 @@
+"""The benchmark in perfbench/ imports names from the package; a change that
+removes one of them breaks the benchmark without failing any other test."""
+
+import importlib
+import importlib.util
+import re
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# `from sensor_shapley[.module] import a, b` or `import (a,\n b)`, anywhere in
+# the text, so imports inside code strings run by a child process count too
+IMPORT = re.compile(r"from (sensor_shapley(?:\.\w+)*) import (\([^)]*\)|[\w ,]+)")
+
+
+def benchmark_imports():
+    found = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for module, names in IMPORT.findall(path.read_text(encoding="utf-8")):
+            for name in names.strip("()").split(","):
+                name = name.split(" as ")[0].strip()
+                if name:
+                    found.append((path.name, module, name))
+    return found
+
+
+def resolves(module, name):
+    # `from package import submodule` also works before the submodule is loaded
+    imported = importlib.import_module(module)
+    if hasattr(imported, name):
+        return True
+    is_package = hasattr(imported, "__path__")
+    return is_package and importlib.util.find_spec(f"{module}.{name}") is not None
+
+
+def test_every_name_the_benchmark_imports_resolves():
+    found = benchmark_imports()
+    assert found, "no package import found in perfbench/*.py"
+    missing = [
+        f"{path}: from {module} import {name}"
+        for path, module, name in found
+        if not resolves(module, name)
+    ]
+    assert not missing

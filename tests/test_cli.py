@@ -101,16 +101,40 @@ class TestAnalyze:
     @pytest.mark.parametrize(
         "golden, argv",
         [
-            ("analyze_scenario2_trace.json", ["--metric", "trace"]),
-            ("analyze_scenario2_sampled.json", ["--sample", "2000", "--seed", "0"]),
+            (
+                "analyze_scenario2_trace.json",
+                ["analyze", "--scenario", "2", "--format", "json", "--metric", "trace"],
+            ),
+            (
+                "analyze_scenario2_sampled.json",
+                [
+                    "analyze", "--scenario", "2", "--format", "json",
+                    "--sample", "2000", "--seed", "0",
+                ],
+            ),
+            (
+                "analyze_scenario1_table.txt",
+                ["analyze", "--scenario", "1", "--format", "table"],
+            ),
+            (
+                "analyze_scenario2_table.txt",
+                ["analyze", "--scenario", "2", "--format", "table"],
+            ),
+            (
+                "analyze_scenario2_sampled_table.txt",
+                [
+                    "analyze", "--scenario", "2", "--format", "table",
+                    "--sample", "2000", "--seed", "0",
+                ],
+            ),
+            ("check_scenario1.txt", ["check", "--scenario", "1"]),
+            ("check_scenario2.txt", ["check", "--scenario", "2"]),
         ],
     )
     def test_golden_trace_and_sampled_reports(self, capsys, golden, argv):
         expected = (GOLDEN_DIR / golden).read_text(encoding="utf-8")
-        code, out, _ = run(
-            capsys, "analyze", "--scenario", "2", "--format", "json", *argv
-        )
-        assert code == 0
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
         assert out == expected
 
 
@@ -220,6 +244,33 @@ class TestAnalyzeErrors:
         assert code == 2
         assert out == "" and not samplers
         assert "argument --seed: must be a non-negative integer, got -1" in err
+
+    @pytest.mark.parametrize(
+        "flag, wording",
+        [
+            ("--seed", "a non-negative integer"),
+            ("--sample", "a positive integer"),
+            ("--horizon", "a positive integer"),
+            ("--tolerance", "a positive number"),
+        ],
+    )
+    def test_non_numeric_value_rejected_by_the_parser(
+        self, capsys, monkeypatch, flag, wording
+    ):
+        samplers = counting(monkeypatch, cli, "shapley_sampled")
+        code, out, err = run(
+            capsys, "analyze", "--scenario", "2", "--sample", "10", flag, "x"
+        )
+        assert code == 2
+        assert out == "" and not samplers
+        assert f"argument {flag}: must be {wording}, got x" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "check"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_rejected_by_the_parser(self, capsys, command, value):
+        code, out, err = run(capsys, command, "--scenario", "2", "--tolerance", value)
+        assert code == 2 and out == ""
+        assert f"argument --tolerance: must be a positive number, got {value}" in err
 
     def test_cap_exceeded_without_sample(self, tmp_path, capsys):
         payload = {

@@ -327,3 +327,9 @@ class TestIsObservable:
         assert not is_observable(g, tol=25.0)
         with pytest.raises(ValueError, match="positive"):
             is_observable(g, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tolerance_rejected(self, scenario1_model, tol):
+        g = gramian_direct(scenario1_model, full_mask(scenario1_model))
+        with pytest.raises(ValueError, match="positive and finite"):
+            is_observable(g, tol=tol)

@@ -9,8 +9,6 @@ from sensor_shapley import (
     ModelDocumentError,
     Sensor,
     ValueFunctionKind,
-    build_report,
-    parse_model,
     parse_model_document,
     render_json,
     render_model_document,
@@ -70,7 +68,7 @@ class TestParseModelDocument:
         assert doc.name is None
 
     def test_parse_model_returns_model(self):
-        model = parse_model(json.dumps(valid_payload()))
+        model = parse_model_document(json.dumps(valid_payload())).model
         assert model.sensor_count == 2
         assert model.horizon_samples == 10
 
@@ -126,30 +124,28 @@ class TestParseModelDocument:
 
 
 def exact_report(model, name, kind=MIN_EIG, observable=True):
+    # the arguments render_json and render_table take for an exact result
     result = shapley_exact(model, kind)
-    axioms = verify_axioms(model, kind, result)
-    return build_report(name, result, observable, axioms)
+    return name, result, observable, verify_axioms(result)
 
 
 class TestReportDocument:
     def test_shares_sum_to_one(self, scenario2_model):
-        report = exact_report(scenario2_model, "s2")
-        shares = [row.share_of_total for row in report.per_sensor]
-        assert all(s is not None for s in shares)
+        payload = json.loads(render_json(*exact_report(scenario2_model, "s2")))
+        shares = [row["share_of_total"] for row in payload["per_sensor"]]
         assert sum(shares) == pytest.approx(1.0, abs=1e-6)
 
     def test_share_omitted_when_grand_value_is_zero(self):
         model = LtiModel(
             np.eye(2), (Sensor("a", [1.0, 0.0]), Sensor("b", [2.0, 0.0])), 4
         )
-        report = exact_report(model, "blind", observable=False)
-        assert report.grand_value == 0.0
-        assert all(row.share_of_total is None for row in report.per_sensor)
-        payload = json.loads(render_json(report))
+        args = exact_report(model, "blind", observable=False)
+        payload = json.loads(render_json(*args))
+        assert payload["grand_value"] == 0.0
         assert all("share_of_total" not in row for row in payload["per_sensor"])
 
     def test_json_layout_is_stable(self, scenario1_model):
-        payload = json.loads(render_json(exact_report(scenario1_model, "s1")))
+        payload = json.loads(render_json(*exact_report(scenario1_model, "s1")))
         assert list(payload) == [
             "model_name",
             "metric",
@@ -177,14 +173,15 @@ class TestReportDocument:
         ]
 
     def test_json_preserves_full_float_precision(self, scenario2_model):
-        report = exact_report(scenario2_model, "s2")
-        payload = json.loads(render_json(report))
-        for row, got in zip(report.per_sensor, payload["per_sensor"]):
-            assert got["shapley"] == row.shapley  # exact round trip
-            assert got["standalone"] == row.standalone
+        name, result, observable, axioms = exact_report(scenario2_model, "s2")
+        payload = json.loads(render_json(name, result, observable, axioms))
+        for sensor, got in zip(result.sensors, payload["per_sensor"]):
+            assert got["shapley"] == sensor.shapley  # exact round trip
+            assert got["standalone"] == sensor.standalone
+            assert got["share_of_total"] == sensor.shapley / result.grand_value
 
     def test_table_rendering(self, scenario1_model):
-        text = render_table(exact_report(scenario1_model, "s1"))
+        text = render_table(*exact_report(scenario1_model, "s1"))
         assert "Sensor" in text
         assert "Value Function" in text
         assert "Standalone Value" in text
@@ -194,15 +191,14 @@ class TestReportDocument:
 
     def test_sampled_report_has_no_axioms_and_records_method(self, scenario2_model):
         result = shapley_sampled(scenario2_model, MIN_EIG, 64, seed=5)
-        report = build_report("s2", result, True, None)
-        payload = json.loads(render_json(report))
+        payload = json.loads(render_json("s2", result, True, None))
         assert payload["axiom_report"] is None
         assert payload["method"] == {
             "kind": "permutation-sampling",
             "num_permutations": 64,
             "seed": 5,
         }
-        text = render_table(report)
+        text = render_table("s2", result, True, None)
         assert "permutation-sampling" in text
 
 

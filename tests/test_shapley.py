@@ -8,13 +8,11 @@ from sensor_shapley import (
     EnumerationCapExceeded,
     LtiModel,
     Sensor,
-    ShapleyWeights,
     ValueFunctionKind,
     per_sensor_gramians,
     shapley_exact,
     shapley_from_table,
     shapley_permutation_oracle,
-    shapley_weight,
     value_table,
 )
 
@@ -22,6 +20,15 @@ from conftest import attribution_corpus
 
 TRACE = ValueFunctionKind.TRACE
 MIN_EIG = ValueFunctionKind.MIN_EIGENVALUE
+
+
+def shapley_weight(size, p):
+    # The weight shapley_from_table gives a coalition of `size` sensors: in
+    # the game worth 1 on {0, ..., size} and 0 elsewhere, sensor 0's only
+    # non-zero marginal is joining {1, ..., size}.
+    values = np.zeros(1 << p)
+    values[(1 << (size + 1)) - 1] = 1.0
+    return shapley_from_table(values, p)[0]
 
 
 class TestShapleyWeight:
@@ -38,24 +45,14 @@ class TestShapleyWeight:
                 )
                 assert shapley_weight(s, p) == pytest.approx(expected, rel=1e-15)
 
-    def test_size_out_of_range(self):
-        with pytest.raises(ValueError, match="coalition size"):
-            shapley_weight(2, 2)
-        with pytest.raises(ValueError, match="coalition size"):
-            shapley_weight(-1, 2)
-
-    def test_sensor_count_out_of_range(self):
-        with pytest.raises(ValueError, match="sensor_count"):
-            shapley_weight(0, 0)
-
     def test_weights_sum_to_one_over_all_subsets(self):
         # a sensor can join every coalition it is outside of, so the weights
-        # over all subsets of the other p-1 sensors total exactly 1
-        for p in range(1, 25):
-            total = sum(
-                math.comb(p - 1, s) * shapley_weight(s, p) for s in range(p)
-            )
-            assert abs(total - 1.0) <= 1e-10
+        # over all subsets of the other p-1 sensors total exactly 1; in the
+        # game v(S) = |S| every marginal is 1 and each value is that total
+        for p in range(1, 21):
+            sizes = np.bitwise_count(np.arange(1 << p)).astype(float)
+            phi = shapley_from_table(sizes, p)
+            assert np.all(np.abs(phi - 1.0) <= 1e-10)
 
     def test_weights_sum_to_one_by_explicit_enumeration(self):
         for p in range(1, 8):
@@ -66,12 +63,6 @@ class TestShapleyWeight:
                 for _ in itertools.combinations(others, size)
             )
             assert abs(total - 1.0) <= 1e-10
-
-    def test_weights_table(self):
-        weights = ShapleyWeights.for_sensor_count(5)
-        assert weights.sensor_count == 5
-        assert len(weights.weights) == 5
-        assert all(0.0 < w <= 1.0 for w in weights.weights)
 
 
 class TestShapleyExact:
