@@ -11,7 +11,8 @@ Subcommands:
 Exit codes: 0 success; 1 ``check`` found the full sensor set unobservable;
 2 input error (bad flags, unreadable or invalid model file); 3 exact
 enumeration refused because the sensor count exceeds the cap (rerun with
-``--sample``). All error text goes to standard error.
+``--sample``); 4 the exact Shapley values failed the efficiency check (they do
+not sum to the grand value). All error text goes to standard error.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 
 from .gramian import (
     coalition_gramians,
+    full_gramian,
     is_observable,
     pack_masks,
     per_sensor_gramians,
@@ -40,7 +42,7 @@ from .report import (
     render_table,
 )
 from .scenarios import SCENARIO_IDS, emit_scenarios, scenario_document
-from .shapley import shapley_exact, shapley_sampled, verify_axioms
+from .shapley import EfficiencyViolation, shapley_exact, shapley_sampled, verify_axioms
 
 __all__ = ["main", "main_entry"]
 
@@ -180,6 +182,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         except EnumerationCapExceeded as err:
             _fail(str(err))
             return 3
+        except EfficiencyViolation as err:
+            _fail(str(err))
+            return 4
         axioms = verify_axioms(result)
     observable = is_observable(result.grand_gramian, args.tolerance)
     render = render_json if args.format == "json" else render_table
@@ -192,8 +197,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     model = doc.model
     p = model.sensor_count
     labels = ["full coalition"] + [f"sensor {s.name}" for s in model.sensors]
-    members = np.vstack([np.ones(p, dtype=bool), np.eye(p, dtype=bool)])
-    stack = coalition_gramians(per_sensor_gramians(model), pack_masks(members))
+    bank = per_sensor_gramians(model)
+    singles = coalition_gramians(bank, pack_masks(np.eye(p, dtype=bool)))
+    stack = np.concatenate([full_gramian(bank)[None], singles])
     verdicts = is_observable(stack, args.tolerance)
     min_eigs = evaluate(ValueFunctionKind.MIN_EIGENVALUE, stack)
     traces = evaluate(ValueFunctionKind.TRACE, stack)

@@ -33,6 +33,7 @@ from .model import LtiModel, require_valid
 
 __all__ = [
     "coalition_gramians",
+    "full_gramian",
     "gramian_direct",
     "is_observable",
     "observability_matrix",
@@ -215,6 +216,16 @@ def coalition_gramians(bank: np.ndarray, masks) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for i, gram in enumerate(bank):
             out[members[:, i]] += gram
+    return out
+
+
+def full_gramian(bank: np.ndarray) -> np.ndarray:
+    """The full-coalition Gramian: the bank summed in ascending sensor index,
+    the bits of ``coalition_gramians`` for the all-members mask."""
+    out = np.zeros(bank.shape[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for gram in bank:
+            out += gram
     return out
 
 

@@ -31,12 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gramian import (
-    coalition_gramians,
-    gramian_direct,
-    pack_masks,
-    per_sensor_gramians,
-)
+from .gramian import full_gramian, gramian_direct, pack_masks, per_sensor_gramians
 from .metrics import ValueFunctionKind, coalition_values, evaluate
 from .model import ENUMERATION_CAP, LtiModel, require_enumerable, require_valid
 
@@ -46,6 +41,7 @@ __all__ = [
     "AxiomReport",
     "DummyCheck",
     "EfficiencyCheck",
+    "EfficiencyViolation",
     "SensorAttribution",
     "SymmetryCheck",
     "shapley_exact",
@@ -64,6 +60,10 @@ AXIOM_SAMPLE_SIZE = 4096
 _AXIOM_SAMPLE_SEED = 20_240_915
 
 EFFICIENCY_RTOL = 1e-6
+
+
+class EfficiencyViolation(AssertionError):
+    """Raised when exact Shapley values do not sum to the grand value."""
 
 
 @dataclass(frozen=True)
@@ -185,19 +185,17 @@ def shapley_exact(
     result = _attribution(model, kind, bank, method, phi, singles, table[-1], table)
     grand = result.grand_value
     if result.efficiency_residual > EFFICIENCY_RTOL * max(1.0, abs(grand)):
-        raise AssertionError(
-            f"efficiency violated: Shapley values sum to {phi.sum()!r} "
+        raise EfficiencyViolation(
+            f"efficiency violated: Shapley values sum to {float(phi.sum())!r} "
             f"but the grand value is {grand!r}"
         )
     return result
 
 
 def _attribution(model, kind, bank, method, phi, standalone, grand, table=None):
-    # The result fields shared by the exact and sampled paths; the grand
-    # Gramian is the bank's full-set sum.
+    # The result fields shared by the exact and sampled paths.
     grand = float(grand)
-    full = pack_masks(np.ones((1, len(bank)), dtype=bool))
-    grand_gramian = coalition_gramians(bank, full)[0]
+    grand_gramian = full_gramian(bank)
     grand_gramian.setflags(write=False)
     return AttributionResult(
         sensors=tuple(
@@ -366,9 +364,12 @@ class AxiomReport:
         )
 
 
-def _values_agree(a: np.ndarray, b: np.ndarray) -> bool:
+def _agreeing(values, first, second, bases, skip=False) -> np.ndarray:
+    # Row r: v(S | first[r]) and v(S | second[r]) agree for every unskipped S.
+    a = values[bases | first[:, None]]
+    b = values[bases | second[:, None]]
     tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-    return bool(np.all(np.abs(a - b) <= tol))
+    return np.all((np.abs(a - b) <= tol) | skip, axis=1)
 
 
 def verify_axioms(result: AttributionResult) -> AxiomReport:
@@ -392,43 +393,40 @@ def verify_axioms(result: AttributionResult) -> AxiomReport:
     tolerance = EFFICIENCY_RTOL * max(1.0, abs(grand))
     efficiency = EfficiencyCheck(residual, tolerance, residual <= tolerance)
 
+    # Pair j < k compares adding j with adding k, dummy j adding j with
+    # adding nothing (bit 0), over the tested coalitions holding neither.
+    j, k = np.triu_indices(p, 1)
+    checks = [(1 << j, 1 << k), (1 << np.arange(p), np.zeros(p, dtype=np.int64))]
     exhaustive = p <= AXIOM_EXHAUSTIVE_MAX_SENSORS
-    all_masks = np.arange(1 << p, dtype=np.int64)
-    if not exhaustive:
+    if exhaustive:
+        # Exactly those coalitions: zero bits inserted at the members, lower
+        # first (a no-op at bit 0), into 0 .. 2^(p - members) - 1.
+        agreeing = []
+        for members, (first, second) in zip((2, 1), checks):
+            bases = np.arange(len(values) >> members)
+            for bit in (first[:, None], second[:, None]):
+                low = bases & (bit - 1)
+                bases = (bases - low) << 1 | low
+            agreeing.append(_agreeing(values, first, second, bases))
+    else:
+        # A fixed-seed pool, skipping the coalitions that hold a member; an
+        # array holds at most C(24, 2) * 4096 = 1.1M values.
         rng = np.random.default_rng(_AXIOM_SAMPLE_SEED)
-        sample = rng.integers(0, 1 << p, size=AXIOM_SAMPLE_SIZE, dtype=np.int64)
-
-    def masks_excluding(bits: int) -> np.ndarray:
-        pool = all_masks if exhaustive else sample
-        return pool[(pool & bits) == 0]
+        pool = rng.integers(0, 1 << p, size=AXIOM_SAMPLE_SIZE, dtype=np.int64)
+        agreeing = [
+            _agreeing(values, f, s, pool, (pool & (f | s)[:, None]) != 0)
+            for f, s in checks
+        ]
+    symmetric, dummy = agreeing
 
     symmetric_pairs = []
-    for j in range(p):
-        for k in range(j + 1, p):
-            base = masks_excluding((1 << j) | (1 << k))
-            if _values_agree(values[base | (1 << j)], values[base | (1 << k)]):
-                gap = abs(float(phi[j]) - float(phi[k]))
-                symmetric_pairs.append(
-                    SymmetryCheck(
-                        first=names[j],
-                        second=names[k],
-                        shapley_gap=gap,
-                        passed=gap <= 1e-6,
-                    )
-                )
-
+    for a, b in zip(j[symmetric], k[symmetric]):
+        gap = abs(float(phi[a]) - float(phi[b]))
+        symmetric_pairs.append(SymmetryCheck(names[a], names[b], gap, gap <= 1e-6))
     dummy_sensors = []
-    for j in range(p):
-        base = masks_excluding(1 << j)
-        if _values_agree(values[base | (1 << j)], values[base]):
-            magnitude = abs(float(phi[j]))
-            dummy_sensors.append(
-                DummyCheck(
-                    name=names[j],
-                    shapley_magnitude=magnitude,
-                    passed=magnitude <= 1e-6,
-                )
-            )
+    for i in np.flatnonzero(dummy):
+        magnitude = abs(float(phi[i]))
+        dummy_sensors.append(DummyCheck(names[i], magnitude, magnitude <= 1e-6))
 
     return AxiomReport(
         efficiency=efficiency,

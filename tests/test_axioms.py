@@ -10,6 +10,16 @@ from sensor_shapley import (
     verify_axioms,
 )
 from sensor_shapley import shapley as shapley_module
+from sensor_shapley.shapley import (
+    AttributionMethod,
+    AttributionResult,
+    AxiomReport,
+    DummyCheck,
+    EfficiencyCheck,
+    SensorAttribution,
+    SymmetryCheck,
+    shapley_from_table,
+)
 
 TRACE = ValueFunctionKind.TRACE
 MIN_EIG = ValueFunctionKind.MIN_EIGENVALUE
@@ -123,3 +133,106 @@ class TestStandaloneDeviations:
         result = shapley_exact(scenario1_model, MIN_EIG)
         assert np.all(result.standalone_values == 0.0)
         assert np.all(result.shapley_values > 9.999)
+
+
+def verify_axioms_oracle(result):
+    """The per-pair, per-sensor loop form of ``verify_axioms``: each check
+    filters the whole coalition pool for the coalitions it reads."""
+    values = result.values_by_bitmask
+    names = [s.name for s in result.sensors]
+    p = len(names)
+    phi = result.shapley_values
+    residual, grand = result.efficiency_residual, result.grand_value
+    tolerance = shapley_module.EFFICIENCY_RTOL * max(1.0, abs(grand))
+    efficiency = EfficiencyCheck(residual, tolerance, residual <= tolerance)
+
+    exhaustive = p <= shapley_module.AXIOM_EXHAUSTIVE_MAX_SENSORS
+    if exhaustive:
+        pool = np.arange(1 << p, dtype=np.int64)
+    else:
+        rng = np.random.default_rng(shapley_module._AXIOM_SAMPLE_SEED)
+        pool = rng.integers(
+            0, 1 << p, size=shapley_module.AXIOM_SAMPLE_SIZE, dtype=np.int64
+        )
+
+    def agree(a, b):
+        tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        return bool(np.all(np.abs(a - b) <= tol))
+
+    symmetric_pairs = []
+    for j in range(p):
+        for k in range(j + 1, p):
+            base = pool[(pool & ((1 << j) | (1 << k))) == 0]
+            if agree(values[base | (1 << j)], values[base | (1 << k)]):
+                gap = abs(float(phi[j]) - float(phi[k]))
+                symmetric_pairs.append(
+                    SymmetryCheck(names[j], names[k], gap, gap <= 1e-6)
+                )
+    dummy_sensors = []
+    for j in range(p):
+        base = pool[(pool & (1 << j)) == 0]
+        if agree(values[base | (1 << j)], values[base]):
+            magnitude = abs(float(phi[j]))
+            dummy_sensors.append(DummyCheck(names[j], magnitude, magnitude <= 1e-6))
+    return AxiomReport(
+        efficiency, tuple(symmetric_pairs), tuple(dummy_sensors), exhaustive
+    )
+
+
+def axiom_game(p, seed, eps):
+    """An exact result for a seeded game v(S) = 10 w(S)^2 / (1 + u(S)) over
+    p sensors, where w and u add per-sensor weights. Sensor 0 has its own
+    weights; others may be dummies (zero weights) or duplicate an earlier
+    sensor; for p >= 3 sensor p-2 is a dummy and sensor p-1 duplicates
+    sensor 0. Every coalition holding either of those two is scaled by
+    1 + eps."""
+    rng = np.random.default_rng(seed)
+    w, u = rng.uniform(1.0, 3.0, p), rng.uniform(0.0, 1.0, p)
+    roles = rng.integers(0, 3, p)  # 0 own weights, 1 dummy, 2 duplicate
+    roles[0] = 0
+    if p >= 3:
+        roles[-2:] = 1, 2
+    for i, role in enumerate(roles):
+        if role == 1:
+            w[i] = u[i] = 0.0
+        elif role == 2:
+            source = 0 if i == p - 1 else int(rng.integers(0, i))
+            w[i], u[i] = w[source], u[source]
+    members = (np.arange(1 << p)[:, None] >> np.arange(p)) & 1
+    table = 10.0 * (members @ w) ** 2 / (1.0 + members @ u)
+    if p >= 3:
+        table[(members[:, -1] | members[:, -2]) == 1] *= 1.0 + eps
+    phi = shapley_from_table(table, p)
+    grand = float(table[-1])
+    return AttributionResult(
+        sensors=tuple(
+            SensorAttribution(f"s{i}", float(table[1 << i]), float(phi[i]))
+            for i in range(p)
+        ),
+        grand_value=grand,
+        efficiency_residual=abs(float(phi.sum()) - grand),
+        metric=TRACE,
+        horizon_samples=1,
+        method=AttributionMethod.exact(),
+        grand_gramian=np.zeros((1, 1)),
+        values_by_bitmask=table,
+    )
+
+
+class TestVerifyAxiomsOracle:
+    # Relative perturbations 0.5e-9 and 2e-9 (and 0.99e-9 and 1.01e-9) sit
+    # on either side of the 1e-9 agreement tolerance; p > 12 takes the
+    # sampled coalition pool.
+    @pytest.mark.parametrize("eps", [0.0, 0.5e-9, 0.99e-9, 1.01e-9, 2e-9])
+    @pytest.mark.parametrize("p", range(1, 17))
+    def test_matches_the_per_pair_loop(self, p, eps):
+        result = axiom_game(p, seed=100 + p, eps=eps)
+        report = verify_axioms(result)
+        assert report == verify_axioms_oracle(result)
+        assert report.exhaustive == (p <= 12)
+        if p >= 3:
+            pairs = {(c.first, c.second) for c in report.symmetric_pairs}
+            dummies = {c.name for c in report.dummy_sensors}
+            detected = eps < 1e-9
+            assert (("s0", f"s{p - 1}") in pairs) == detected
+            assert (f"s{p - 2}" in dummies) == detected

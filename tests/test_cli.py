@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import warnings
 from pathlib import Path
@@ -8,6 +9,18 @@ from sensor_shapley import cli, gramian, model, report, shapley
 from sensor_shapley.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "regenerate_goldens.py"
+
+
+def load_golden_script():
+    spec = importlib.util.spec_from_file_location("regenerate_goldens", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The command line of each golden, as the script that writes them runs it.
+GOLDENS = load_golden_script().GOLDENS
 
 
 def write_model(tmp_path, payload, name="model.json"):
@@ -101,34 +114,10 @@ class TestAnalyze:
     @pytest.mark.parametrize(
         "golden, argv",
         [
-            (
-                "analyze_scenario2_trace.json",
-                ["analyze", "--scenario", "2", "--format", "json", "--metric", "trace"],
-            ),
-            (
-                "analyze_scenario2_sampled.json",
-                [
-                    "analyze", "--scenario", "2", "--format", "json",
-                    "--sample", "2000", "--seed", "0",
-                ],
-            ),
-            (
-                "analyze_scenario1_table.txt",
-                ["analyze", "--scenario", "1", "--format", "table"],
-            ),
-            (
-                "analyze_scenario2_table.txt",
-                ["analyze", "--scenario", "2", "--format", "table"],
-            ),
-            (
-                "analyze_scenario2_sampled_table.txt",
-                [
-                    "analyze", "--scenario", "2", "--format", "table",
-                    "--sample", "2000", "--seed", "0",
-                ],
-            ),
-            ("check_scenario1.txt", ["check", "--scenario", "1"]),
-            ("check_scenario2.txt", ["check", "--scenario", "2"]),
+            (name, argv)
+            for name, argv in GOLDENS.items()
+            # test_golden_scenario_reports covers these two.
+            if name not in ("analyze_scenario1.json", "analyze_scenario2.json")
         ],
     )
     def test_golden_trace_and_sampled_reports(self, capsys, golden, argv):
@@ -136,6 +125,9 @@ class TestAnalyze:
         code, out, err = run(capsys, *argv)
         assert code == 0 and err == ""
         assert out == expected
+
+    def test_every_golden_file_has_a_command(self):
+        assert sorted(path.name for path in GOLDEN_DIR.iterdir()) == sorted(GOLDENS)
 
 
 def counting(monkeypatch, module, name):
@@ -271,6 +263,18 @@ class TestAnalyzeErrors:
         code, out, err = run(capsys, command, "--scenario", "2", "--tolerance", value)
         assert code == 2 and out == ""
         assert f"argument --tolerance: must be a positive number, got {value}" in err
+
+    def test_efficiency_violation_exits_four(self, capsys, monkeypatch):
+        contract = shapley.shapley_from_table
+        monkeypatch.setattr(
+            shapley, "shapley_from_table", lambda table, p: contract(table, p) + 1.0
+        )
+        code, out, err = run(capsys, "analyze", "--scenario", "2")
+        assert code == 4 and out == ""
+        assert err == (
+            "sensor-shapley: error: efficiency violated: Shapley values sum to "
+            "6.476686980379149 but the grand value is 2.47668698037915\n"
+        )
 
     def test_cap_exceeded_without_sample(self, tmp_path, capsys):
         payload = {

@@ -188,6 +188,16 @@ class TestCoalitionGramian:
                         acc += bank[i]
                 assert stack[mask].tobytes() == acc.tobytes()
 
+    def test_full_gramian_matches_the_all_members_mask_bit_for_bit(self):
+        banks = [per_sensor_gramians(m) for m in gramian_corpus(20, seed=4343)]
+        banks.append(np.array([[[1e308]], [[1e308]], [[-np.inf]]]))  # inf, nan
+        for bank in banks:
+            full = pack_masks(np.ones((1, len(bank)), dtype=bool))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = gramian.full_gramian(bank)
+            assert got.tobytes() == coalition_gramians(bank, full)[0].tobytes()
+
     def test_packed_words_match_integer_masks(self, scenario2_model):
         bank = per_sensor_gramians(scenario2_model)
         masks = np.arange(16)
