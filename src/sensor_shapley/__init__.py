@@ -45,7 +45,6 @@ from .shapley import (
     AttributionMethod,
     AttributionResult,
     AxiomReport,
-    SensorAttribution,
     shapley_exact,
     shapley_from_table,
     shapley_permutation_oracle,
@@ -66,7 +65,6 @@ __all__ = [
     "ModelDocument",
     "ModelDocumentError",
     "Sensor",
-    "SensorAttribution",
     "ValidationResult",
     "ValueFunctionKind",
     "coalition_gramians",

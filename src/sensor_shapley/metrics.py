@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .gramian import PSD_FLOOR, PSD_RTOL, coalition_gramians, per_sensor_gramians
-from .model import ENUMERATION_CAP, LtiModel, require_enumerable
+from .model import LtiModel, require_enumerable
 
 __all__ = [
     "ValueFunctionKind",
@@ -135,16 +135,14 @@ def _table(bank: np.ndarray, kind: ValueFunctionKind, chunk: int) -> np.ndarray:
     return table
 
 
-def value_table(
-    model: LtiModel, kind: ValueFunctionKind, *, cap: int = ENUMERATION_CAP
-) -> np.ndarray:
+def value_table(model: LtiModel, kind: ValueFunctionKind) -> np.ndarray:
     """Evaluate the metric on every one of the 2^p coalitions of a model.
 
     Returns the 2^p values indexed by membership bitmask (bit i set means
     sensor i is a member). The coalition Gramians are sums of the per-sensor
     bank, so the model's dynamics are only propagated p times regardless of
-    how many coalitions exist. Sensor counts above ``cap`` raise
+    how many coalitions exist. Sensor counts above ``ENUMERATION_CAP`` raise
     :class:`~sensor_shapley.model.EnumerationCapExceeded`.
     """
-    require_enumerable(model, cap)
+    require_enumerable(model)
     return coalition_values(per_sensor_gramians(model), kind)

@@ -39,7 +39,7 @@ ENUMERATION_CAP = 24
 
 
 class EnumerationCapExceeded(ValueError):
-    """Raised when an exact 2^p enumeration would exceed the configured cap."""
+    """Raised when an exact 2^p enumeration would exceed ``ENUMERATION_CAP``."""
 
 
 def _as_readonly_float_array(values) -> np.ndarray:
@@ -159,14 +159,14 @@ def require_valid(model: LtiModel) -> None:
         raise ValueError("invalid model: " + "; ".join(result.violations))
 
 
-def require_enumerable(model: LtiModel, cap: int = ENUMERATION_CAP) -> None:
-    """``require_valid``, then refuse sensor counts above ``cap`` with
-    :class:`EnumerationCapExceeded` before any 2^p work starts."""
+def require_enumerable(model: LtiModel) -> None:
+    """``require_valid``, then refuse sensor counts above ``ENUMERATION_CAP``
+    with :class:`EnumerationCapExceeded` before any 2^p work starts."""
     require_valid(model)
     p = model.sensor_count
-    if p > cap:
+    if p > ENUMERATION_CAP:
         raise EnumerationCapExceeded(
             f"a value table over {p} sensors would hold 2^{p} coalitions, "
-            f"above the cap of {cap}; use the permutation-sampling estimator "
-            f"(shapley_sampled) instead"
+            f"above the cap of {ENUMERATION_CAP}; use the permutation-sampling "
+            f"estimator (shapley_sampled) instead"
         )

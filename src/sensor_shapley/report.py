@@ -14,19 +14,20 @@ unambiguous ground truth. Parse failures are reported in three distinct
 stages, each with a location: JSON syntax, document schema, and model
 validation.
 
-Reports are rendered straight from an
-:class:`~sensor_shapley.shapley.AttributionResult`, its
-:class:`~sensor_shapley.shapley.AxiomReport` (``None`` for sampled results)
-and the observability verdict, in two forms: a human table whose columns are
-Sensor | Value Function | Standalone Value | Shapley Value, and a JSON
-document with a fixed key layout and full-precision numbers so byte-level
-diffing of outputs is meaningful.
+Reports are rendered straight from the fields of an
+:class:`~sensor_shapley.shapley.AttributionResult` (sensor names zipped with
+its per-sensor arrays), its :class:`~sensor_shapley.shapley.AxiomReport`
+(``None`` for sampled results; JSON takes it field by field via
+``dataclasses.asdict``) and the observability verdict, in two forms: a human
+table whose columns are Sensor | Value Function | Standalone Value | Shapley
+Value, and a JSON document with a fixed key layout and full-precision numbers
+so byte-level diffing of outputs is meaningful.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from .model import LtiModel, Sensor, validate_model
@@ -183,34 +184,10 @@ def render_model_document(doc: ModelDocument) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def _axioms_to_dict(axioms: AxiomReport | None) -> dict[str, Any] | None:
-    if axioms is None:
-        return None
-    return {
-        "efficiency": {
-            "residual": axioms.efficiency.residual,
-            "tolerance": axioms.efficiency.tolerance,
-            "passed": axioms.efficiency.passed,
-        },
-        "symmetric_pairs": [
-            {
-                "sensors": [pair.first, pair.second],
-                "shapley_gap": pair.shapley_gap,
-                "passed": pair.passed,
-            }
-            for pair in axioms.symmetric_pairs
-        ],
-        "dummy_sensors": [
-            {
-                "name": dummy.name,
-                "shapley_magnitude": dummy.shapley_magnitude,
-                "passed": dummy.passed,
-            }
-            for dummy in axioms.dummy_sensors
-        ],
-        "exhaustive": axioms.exhaustive,
-        "passed": axioms.passed,
-    }
+def _sensor_rows(result: AttributionResult):
+    # (name, standalone, shapley) per sensor, the numbers as Python floats
+    values = result.standalone_values.tolist(), result.shapley_values.tolist()
+    return zip(result.sensor_names, *values)
 
 
 def render_json(
@@ -226,20 +203,13 @@ def render_json(
     sensor's ``share_of_total`` is omitted when the grand value is not
     positive.
     """
-    method: dict[str, Any] = {"kind": result.method.kind}
-    if result.method.kind != "exact":
-        method["num_permutations"] = result.method.num_permutations
-        method["seed"] = result.method.seed
+    method = {k: v for k, v in asdict(result.method).items() if v is not None}
     grand = result.grand_value
     per_sensor = []
-    for s in result.sensors:
-        entry: dict[str, Any] = {
-            "name": s.name,
-            "standalone": s.standalone,
-            "shapley": s.shapley,
-        }
+    for name, standalone, shapley in _sensor_rows(result):
+        entry = {"name": name, "standalone": standalone, "shapley": shapley}
         if grand > 0:
-            entry["share_of_total"] = s.shapley / grand
+            entry["share_of_total"] = shapley / grand
         per_sensor.append(entry)
     payload = {
         "model_name": model_name,
@@ -250,7 +220,9 @@ def render_json(
         "grand_value": grand,
         "efficiency_residual": result.efficiency_residual,
         "per_sensor": per_sensor,
-        "axiom_report": _axioms_to_dict(axioms),
+        "axiom_report": (
+            None if axioms is None else asdict(axioms) | {"passed": axioms.passed}
+        ),
     }
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
@@ -269,8 +241,8 @@ def render_table(
     metric = result.metric.cli_name
     header = ("Sensor", "Value Function", "Standalone Value", "Shapley Value")
     rows = [
-        (s.name, metric, _fmt(s.standalone), _fmt(s.shapley))
-        for s in result.sensors
+        (name, metric, _fmt(standalone), _fmt(shapley))
+        for name, standalone, shapley in _sensor_rows(result)
     ]
     widths = [
         max(len(header[c]), *(len(r[c]) for r in rows)) for c in range(len(header))
@@ -299,7 +271,7 @@ def render_table(
     out.append(f"fully observable:    {'yes' if observable else 'no'}")
     if axioms is not None:
         pairs = (
-            "; ".join(f"({p.first}, {p.second})" for p in axioms.symmetric_pairs)
+            "; ".join(f"({', '.join(p.sensors)})" for p in axioms.symmetric_pairs)
             or "none"
         )
         dummies = ", ".join(d.name for d in axioms.dummy_sensors) or "none"

@@ -33,7 +33,7 @@ import numpy as np
 
 from .gramian import full_gramian, gramian_direct, pack_masks, per_sensor_gramians
 from .metrics import ValueFunctionKind, coalition_values, evaluate
-from .model import ENUMERATION_CAP, LtiModel, require_enumerable, require_valid
+from .model import LtiModel, require_enumerable, require_valid
 
 __all__ = [
     "AttributionMethod",
@@ -42,7 +42,6 @@ __all__ = [
     "DummyCheck",
     "EfficiencyCheck",
     "EfficiencyViolation",
-    "SensorAttribution",
     "SymmetryCheck",
     "shapley_exact",
     "shapley_from_table",
@@ -67,60 +66,36 @@ class EfficiencyViolation(AssertionError):
 
 
 @dataclass(frozen=True)
-class SensorAttribution:
-    """Attribution record of one sensor: its standalone and Shapley values."""
-
-    name: str
-    standalone: float
-    shapley: float
-
-
-@dataclass(frozen=True)
 class AttributionMethod:
-    """How an attribution was computed: exact subset sums, or seeded
-    permutation sampling with a recorded sample size."""
+    """How an attribution was computed: ``"exact"`` subset sums, or
+    ``"permutation-sampling"`` with a recorded sample size and seed."""
 
-    kind: str  # "exact" | "permutation-sampling"
+    kind: str
     num_permutations: int | None = None
     seed: int | None = None
 
-    @classmethod
-    def exact(cls) -> "AttributionMethod":
-        return cls("exact")
 
-    @classmethod
-    def sampled(cls, num_permutations: int, seed: int) -> "AttributionMethod":
-        return cls("permutation-sampling", num_permutations, seed)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttributionResult:
     """Per-sensor attribution of a model's observability degree.
 
-    ``grand_gramian`` is the Gramian of the full sensor set, the bank's sum,
-    from which callers take the observability verdict. An exact result also
-    carries its value table (``values_by_bitmask``) so that
-    ``verify_axioms`` reads rather than rebuilds it.
+    ``standalone_values`` and ``shapley_values`` are read-only arrays in
+    ``sensor_names`` order. ``grand_gramian`` is the Gramian of the full
+    sensor set, the bank's sum, from which callers take the observability
+    verdict. An exact result also carries its value table
+    (``values_by_bitmask``) so that ``verify_axioms`` reads, not rebuilds, it.
     """
 
-    sensors: tuple[SensorAttribution, ...]
+    sensor_names: tuple[str, ...]
+    standalone_values: np.ndarray
+    shapley_values: np.ndarray
     grand_value: float
     efficiency_residual: float
     metric: ValueFunctionKind
     horizon_samples: int
     method: AttributionMethod
-    grand_gramian: np.ndarray = field(compare=False, repr=False)
-    values_by_bitmask: np.ndarray | None = field(
-        default=None, compare=False, repr=False
-    )
-
-    @property
-    def shapley_values(self) -> np.ndarray:
-        return np.array([s.shapley for s in self.sensors])
-
-    @property
-    def standalone_values(self) -> np.ndarray:
-        return np.array([s.standalone for s in self.sensors])
+    grand_gramian: np.ndarray = field(repr=False)
+    values_by_bitmask: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def standalone_deviations(self) -> np.ndarray:
@@ -150,38 +125,38 @@ def shapley_from_table(values_by_bitmask: np.ndarray, sensor_count: int) -> np.n
             f"expected {1 << sensor_count} coalition values, got {values.shape}"
         )
     # The coalition-size weights w(s) = s! (p-s-1)! / p!, evaluated as
-    # 1 / (p * C(p-1, s)) so every intermediate integer is exact in a float.
+    # 1 / (p * C(p-1, s)) so every intermediate integer is exact in a float;
+    # size p gets 0, as the full coalition never lacks a sensor.
     p = sensor_count
-    weights = np.array([1.0 / (p * math.comb(p - 1, s)) for s in range(p)])
-    masks = np.arange(1 << sensor_count, dtype=np.int64)
-    sizes = np.bitwise_count(masks).astype(np.int64)
-    phi = np.empty(sensor_count)
-    for i in range(sensor_count):
-        bit = 1 << i
-        without = masks[(masks & bit) == 0]
-        marginals = values[without | bit] - values[without]
-        phi[i] = np.dot(weights[sizes[without]], marginals)
+    weights = np.array([1.0 / (p * math.comb(p - 1, s)) for s in range(p)] + [0.0])
+    mask_weights = weights[np.bitwise_count(np.arange(1 << p))]
+    phi = np.empty(p)
+    for i in range(p):
+        # Split at bit i: [:, 0] holds the coalitions without sensor i in
+        # ascending order, [:, 1] the same ones with it; both dot operands copy.
+        shape = (-1, 2, 1 << i)
+        halves = values.reshape(shape)
+        marginals = (halves[:, 1] - halves[:, 0]).ravel()
+        phi[i] = np.dot(mask_weights.reshape(shape)[:, 0].ravel(), marginals)
     return phi
 
 
-def shapley_exact(
-    model: LtiModel, kind: ValueFunctionKind, *, cap: int = ENUMERATION_CAP
-) -> AttributionResult:
+def shapley_exact(model: LtiModel, kind: ValueFunctionKind) -> AttributionResult:
     """Exact Shapley attribution of the model's observability degree.
 
     The per-sensor bank is built once and every coalition value is drawn
     from one table over it, so the metric is evaluated exactly once per
     coalition; the result carries that table. Raises
     :class:`~sensor_shapley.model.EnumerationCapExceeded` for sensor counts
-    above ``cap``; use ``shapley_sampled`` there instead.
+    above ``ENUMERATION_CAP``; use ``shapley_sampled`` there instead.
     """
-    require_enumerable(model, cap)
+    require_enumerable(model)
     bank = per_sensor_gramians(model)
     p = model.sensor_count
     table = coalition_values(bank, kind)
     phi = shapley_from_table(table, p)
     singles = table[1 << np.arange(p)]
-    method = AttributionMethod.exact()
+    method = AttributionMethod("exact")
     result = _attribution(model, kind, bank, method, phi, singles, table[-1], table)
     grand = result.grand_value
     if result.efficiency_residual > EFFICIENCY_RTOL * max(1.0, abs(grand)):
@@ -195,13 +170,14 @@ def shapley_exact(
 def _attribution(model, kind, bank, method, phi, standalone, grand, table=None):
     # The result fields shared by the exact and sampled paths.
     grand = float(grand)
+    standalone = np.array(standalone)  # not a view of the sampler's buffer
     grand_gramian = full_gramian(bank)
-    grand_gramian.setflags(write=False)
+    for array in (standalone, phi, grand_gramian):
+        array.setflags(write=False)
     return AttributionResult(
-        sensors=tuple(
-            SensorAttribution(s.name, float(standalone[i]), float(phi[i]))
-            for i, s in enumerate(model.sensors)
-        ),
+        sensor_names=tuple(s.name for s in model.sensors),
+        standalone_values=standalone,
+        shapley_values=phi,
         grand_value=grand,
         efficiency_residual=abs(float(phi.sum()) - grand),
         metric=kind,
@@ -307,7 +283,7 @@ def shapley_sampled(
     phi = np.zeros(p)
     np.add.at(phi, orderings, marginals)
     phi /= num_permutations
-    method = AttributionMethod.sampled(num_permutations, seed)
+    method = AttributionMethod("permutation-sampling", num_permutations, seed)
     grand = prefix_values[0, -1]
     return _attribution(model, kind, bank, method, phi, standalone, grand)
 
@@ -325,8 +301,7 @@ class EfficiencyCheck:
 class SymmetryCheck:
     """A detected pair of interchangeable sensors and their Shapley gap."""
 
-    first: str
-    second: str
+    sensors: tuple[str, str]
     shapley_gap: float
     passed: bool
 
@@ -385,7 +360,7 @@ def verify_axioms(result: AttributionResult) -> AxiomReport:
     values = result.values_by_bitmask
     if result.method.kind != "exact" or values is None:
         raise ValueError("axiom verification requires an exact attribution result")
-    names = [s.name for s in result.sensors]
+    names = result.sensor_names
     p = len(names)
     phi = result.shapley_values
 
@@ -422,7 +397,7 @@ def verify_axioms(result: AttributionResult) -> AxiomReport:
     symmetric_pairs = []
     for a, b in zip(j[symmetric], k[symmetric]):
         gap = abs(float(phi[a]) - float(phi[b]))
-        symmetric_pairs.append(SymmetryCheck(names[a], names[b], gap, gap <= 1e-6))
+        symmetric_pairs.append(SymmetryCheck((names[a], names[b]), gap, gap <= 1e-6))
     dummy_sensors = []
     for i in np.flatnonzero(dummy):
         magnitude = abs(float(phi[i]))

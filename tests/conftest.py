@@ -3,7 +3,7 @@ import pytest
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sensor_shapley import LtiModel, Sensor
+from sensor_shapley import ENUMERATION_CAP, LtiModel, Sensor
 from sensor_shapley.scenarios import scenario_document
 
 
@@ -37,6 +37,12 @@ def attribution_corpus(count, seed=987603):
         make_random_model(rng, max_states=4, max_sensors=6, max_horizon=6, scale=1.0)
         for _ in range(count)
     ]
+
+
+def over_the_cap_model(horizon=2):
+    """A model with one sensor more than exact enumeration accepts."""
+    sensors = tuple(Sensor(f"s{i}", [1.0]) for i in range(ENUMERATION_CAP + 1))
+    return LtiModel(np.eye(1), sensors, horizon)
 
 
 @st.composite

@@ -16,7 +16,6 @@ from sensor_shapley.shapley import (
     AxiomReport,
     DummyCheck,
     EfficiencyCheck,
-    SensorAttribution,
     SymmetryCheck,
     shapley_from_table,
 )
@@ -31,7 +30,7 @@ class TestVerifyAxioms:
         report = verify_axioms(result)
         assert report.passed
         assert report.efficiency.passed
-        pairs = {(p.first, p.second) for p in report.symmetric_pairs}
+        pairs = {p.sensors for p in report.symmetric_pairs}
         assert ("C1", "C2") in pairs
         assert all(p.passed for p in report.symmetric_pairs)
         assert report.exhaustive
@@ -40,9 +39,7 @@ class TestVerifyAxioms:
         result = shapley_exact(scenario2_model, MIN_EIG)
         report = verify_axioms(result)
         assert report.efficiency.passed
-        assert sum(s.shapley for s in result.sensors) == pytest.approx(
-            2.477, abs=1e-3
-        )
+        assert result.shapley_values.sum() == pytest.approx(2.477, abs=1e-3)
 
     def test_zero_row_sensor_flagged_dummy(self):
         model = LtiModel(
@@ -70,7 +67,7 @@ class TestVerifyAxioms:
         )
         result = shapley_exact(model, MIN_EIG)
         report = verify_axioms(result)
-        pairs = {(p.first, p.second) for p in report.symmetric_pairs}
+        pairs = {p.sensors for p in report.symmetric_pairs}
         assert ("x", "x2") in pairs
 
     def test_requires_exact_result(self, scenario2_model):
@@ -105,7 +102,7 @@ class TestVerifyAxioms:
         result = shapley_exact(model, TRACE)
         report = verify_axioms(result)
         assert not report.exhaustive
-        pairs = {(p.first, p.second) for p in report.symmetric_pairs}
+        pairs = {p.sensors for p in report.symmetric_pairs}
         assert ("s0", "s0-copy") in pairs
         assert report.efficiency.passed
 
@@ -139,7 +136,7 @@ def verify_axioms_oracle(result):
     """The per-pair, per-sensor loop form of ``verify_axioms``: each check
     filters the whole coalition pool for the coalitions it reads."""
     values = result.values_by_bitmask
-    names = [s.name for s in result.sensors]
+    names = result.sensor_names
     p = len(names)
     phi = result.shapley_values
     residual, grand = result.efficiency_residual, result.grand_value
@@ -166,7 +163,7 @@ def verify_axioms_oracle(result):
             if agree(values[base | (1 << j)], values[base | (1 << k)]):
                 gap = abs(float(phi[j]) - float(phi[k]))
                 symmetric_pairs.append(
-                    SymmetryCheck(names[j], names[k], gap, gap <= 1e-6)
+                    SymmetryCheck((names[j], names[k]), gap, gap <= 1e-6)
                 )
     dummy_sensors = []
     for j in range(p):
@@ -205,15 +202,14 @@ def axiom_game(p, seed, eps):
     phi = shapley_from_table(table, p)
     grand = float(table[-1])
     return AttributionResult(
-        sensors=tuple(
-            SensorAttribution(f"s{i}", float(table[1 << i]), float(phi[i]))
-            for i in range(p)
-        ),
+        sensor_names=tuple(f"s{i}" for i in range(p)),
+        standalone_values=table[1 << np.arange(p)],
+        shapley_values=phi,
         grand_value=grand,
         efficiency_residual=abs(float(phi.sum()) - grand),
         metric=TRACE,
         horizon_samples=1,
-        method=AttributionMethod.exact(),
+        method=AttributionMethod("exact"),
         grand_gramian=np.zeros((1, 1)),
         values_by_bitmask=table,
     )
@@ -231,7 +227,7 @@ class TestVerifyAxiomsOracle:
         assert report == verify_axioms_oracle(result)
         assert report.exhaustive == (p <= 12)
         if p >= 3:
-            pairs = {(c.first, c.second) for c in report.symmetric_pairs}
+            pairs = {c.sensors for c in report.symmetric_pairs}
             dummies = {c.name for c in report.dummy_sensors}
             detected = eps < 1e-9
             assert (("s0", f"s{p - 1}") in pairs) == detected

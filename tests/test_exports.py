@@ -1,0 +1,21 @@
+"""Every name a module lists in ``__all__`` resolves. A stale entry raises
+nothing on a plain import, only when someone runs ``from module import *``."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import sensor_shapley
+
+MODULES = ["sensor_shapley"] + [
+    f"sensor_shapley.{info.name}"
+    for info in pkgutil.iter_modules(sensor_shapley.__path__)
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [export for export in module.__all__ if not hasattr(module, export)]
+    assert not missing

@@ -15,7 +15,7 @@ from sensor_shapley import (
     value_table,
 )
 
-from conftest import gramian_corpus, lti_models
+from conftest import gramian_corpus, lti_models, over_the_cap_model
 
 TRACE = ValueFunctionKind.TRACE
 MIN_EIG = ValueFunctionKind.MIN_EIGENVALUE
@@ -113,9 +113,9 @@ class TestValueTable:
         assert table[-1] == pytest.approx(8804.0)
         assert table[0b0101] == pytest.approx(3187.0 + 5312.0)
 
-    def test_cap_enforced_with_pointer_to_sampling(self, scenario2_model):
+    def test_cap_enforced_with_pointer_to_sampling(self):
         with pytest.raises(EnumerationCapExceeded, match="shapley_sampled"):
-            value_table(scenario2_model, TRACE, cap=3)
+            value_table(over_the_cap_model(), TRACE)
 
     def test_chunked_evaluation_is_bit_identical(self, monkeypatch):
         # a 3-coalition budget splits every table into many uneven chunks

@@ -10,6 +10,8 @@ from sensor_shapley import (
 )
 from sensor_shapley.model import require_enumerable
 
+from conftest import over_the_cap_model
+
 
 def two_state_model(horizon=10):
     return LtiModel(
@@ -85,17 +87,9 @@ class TestValidateModel:
 
 class TestRequireEnumerable:
     def test_cap_enforced(self):
-        model = LtiModel(np.eye(1), tuple(Sensor(f"s{i}", [1.0]) for i in range(25)), 2)
         with pytest.raises(EnumerationCapExceeded, match="shapley_sampled"):
-            require_enumerable(model)
-
-    def test_cap_is_configurable(self):
-        model = two_state_model()
-        with pytest.raises(EnumerationCapExceeded):
-            require_enumerable(model, cap=1)
-        require_enumerable(model, cap=2)
+            require_enumerable(over_the_cap_model())
 
     def test_validates_before_the_cap(self):
-        model = LtiModel([[1.0]], (Sensor("a", [1.0]), Sensor("b", [1.0])), 0)
         with pytest.raises(ValueError, match="invalid model"):
-            require_enumerable(model, cap=1)
+            require_enumerable(over_the_cap_model(horizon=0))

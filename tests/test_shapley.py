@@ -13,10 +13,11 @@ from sensor_shapley import (
     shapley_exact,
     shapley_from_table,
     shapley_permutation_oracle,
+    shapley_sampled,
     value_table,
 )
 
-from conftest import attribution_corpus
+from conftest import attribution_corpus, over_the_cap_model
 
 TRACE = ValueFunctionKind.TRACE
 MIN_EIG = ValueFunctionKind.MIN_EIGENVALUE
@@ -97,7 +98,7 @@ class TestShapleyExact:
 
     def test_attribution_metadata(self, scenario2_model):
         result = shapley_exact(scenario2_model, MIN_EIG)
-        assert [s.name for s in result.sensors] == ["C1", "C2", "C3", "C4"]
+        assert result.sensor_names == ("C1", "C2", "C3", "C4")
         assert result.horizon_samples == 10
         assert result.metric is MIN_EIG
         assert result.efficiency_residual <= 1e-6 * max(1.0, result.grand_value)
@@ -110,10 +111,14 @@ class TestShapleyExact:
         full = ((bank[0] + bank[1]) + bank[2]) + bank[3]
         np.testing.assert_array_equal(result.grand_gramian, full)
         assert not table.flags.writeable and not result.grand_gramian.flags.writeable
+        sampled = shapley_sampled(scenario2_model, MIN_EIG, 64, seed=5)
+        for r in (result, sampled):
+            for values in (r.standalone_values, r.shapley_values, r.grand_gramian):
+                assert not values.flags.writeable
 
-    def test_cap_exceeded_names_sampler(self, scenario2_model):
+    def test_cap_exceeded_names_sampler(self):
         with pytest.raises(EnumerationCapExceeded, match="shapley_sampled"):
-            shapley_exact(scenario2_model, TRACE, cap=3)
+            shapley_exact(over_the_cap_model(), TRACE)
 
 
 class TestPermutationOracle:
@@ -205,3 +210,28 @@ class TestShapleyFromTable:
         values = np.array([0.0, 1.0, 2.0, 4.0])
         phi = shapley_from_table(values, 2)
         np.testing.assert_allclose(phi, [1.5, 2.5])
+
+    @pytest.mark.parametrize("p", range(1, 17))
+    def test_matches_the_mask_filter_form(self, p):
+        # tables over six decades of magnitude, one scale per coalition
+        rng = np.random.default_rng(600 + p)
+        scale = 10.0 ** rng.uniform(-6, 6, 1 << p)
+        values = rng.standard_normal(1 << p) * scale
+        values[0] = 0.0
+        got = shapley_from_table(values, p)
+        assert got.tobytes() == shapley_from_table_oracle(values, p).tobytes()
+
+
+def shapley_from_table_oracle(values, p):
+    """The mask-filter form of ``shapley_from_table``: each sensor filters
+    all 2^p masks for the coalitions without it."""
+    weights = np.array([1.0 / (p * math.comb(p - 1, s)) for s in range(p)])
+    masks = np.arange(1 << p, dtype=np.int64)
+    sizes = np.bitwise_count(masks).astype(np.int64)
+    phi = np.empty(p)
+    for i in range(p):
+        bit = 1 << i
+        without = masks[(masks & bit) == 0]
+        marginals = values[without | bit] - values[without]
+        phi[i] = np.dot(weights[sizes[without]], marginals)
+    return phi
