@@ -6,15 +6,16 @@ is the row-stack of C_S A^k for k = 0..K, and the observability Gramian is
 
     W_S = sum_k (A^T)^k C_S^T C_S A^k = O_S^T O_S.
 
-W_S is symmetric positive semidefinite and additive over sensors:
-W_S = sum of the single-sensor Gramians of the members of S. That additivity
-is what makes coalition values cheap: the bank of per-sensor Gramians is
-built once (``per_sensor_gramians``, a ``(p, n, n)`` array) and the Gramians
-of any batch of coalitions are stacked n x n sums of bank members
-(``coalition_gramians``). ``gramian_direct`` keeps the definition-level
-construction around as the independent cross-check. Every Gramian is a
-plain read-only array; the bank and ``gramian_direct`` pass the same
-checks (finite, symmetric, PSD) on the way out.
+W_S is symmetric positive semidefinite and additive over sensors: W_S = sum
+of the single-sensor Gramians of the members of S. That additivity is what
+makes coalition values cheap: the bank of per-sensor Gramians is built once
+(``per_sensor_gramians``, a ``(p, n, n)`` array) and the Gramians of any
+batch of coalitions are stacked n x n sums of bank members
+(``coalition_gramians``). The bank propagates A^k once and forms every
+sensor's block c_i A^k from it; ``gramian_direct`` keeps the definition-level
+construction, with its own power chain, as the independent cross-check. Every
+Gramian is a plain read-only array; the bank and ``gramian_direct`` pass the
+same checks (finite, symmetric, PSD) on the way out.
 
 The system is observable over the window iff the full-coalition Gramian is
 positive definite, i.e. its minimum eigenvalue is strictly positive.
@@ -152,21 +153,30 @@ def per_sensor_gramians(model: LtiModel) -> np.ndarray:
     """The bank: all p single-sensor Gramians, built once, as a read-only
     ``(p, n, n)`` array index-aligned with the model's sensors.
 
+    Each step of one power chain adds the outer product of c_i A^k with
+    itself to sensor i's slot, the bits of the singleton's ``gramian_direct``.
     The members pass the checks of ``gramian_direct`` (finite, symmetric,
     PSD) as one stack. Dynamics that overflow within the window are rejected
     with a ``ValueError`` naming the sensor and the horizon.
     """
     require_valid(model)
     n, h = model.state_dimension, model.horizon_samples
-    bank = np.empty((model.sensor_count, n, n))
-    for i, sensor in enumerate(model.sensors):
-        bank[i] = _direct_sum(model, 1 << i)
-        if not np.all(np.isfinite(bank[i])):
-            raise ValueError(
-                f"Gramian of sensor {sensor.name!r} overflows to non-finite "
-                f"values over {h} samples: the dynamics grow too fast for "
-                f"this horizon"
-            )
+    rows = [sensor.row[None, :] for sensor in model.sensors]
+    bank = np.zeros((len(rows), n, n))
+    power = np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(h):
+            for slot, row in zip(bank, rows):
+                block = row @ power
+                slot += block.T * block
+            power = power @ model.state_matrix
+    bad = np.flatnonzero(~np.isfinite(bank).all(axis=(1, 2)))
+    if bad.size:
+        raise ValueError(
+            f"Gramian of sensor {model.sensors[bad[0]].name!r} overflows to "
+            f"non-finite values over {h} samples: the dynamics grow too fast "
+            f"for this horizon"
+        )
     return _checked_gramians(bank, [1 << i for i in range(len(bank))])
 
 

@@ -17,8 +17,8 @@ validation.
 Reports are rendered straight from the fields of an
 :class:`~sensor_shapley.shapley.AttributionResult` (sensor names zipped with
 its per-sensor arrays), its :class:`~sensor_shapley.shapley.AxiomReport`
-(``None`` for sampled results; JSON takes it field by field via
-``dataclasses.asdict``) and the observability verdict, in two forms: a human
+(``None`` for sampled results; JSON reads its checks in place through
+``default=vars``) and the observability verdict, in two forms: a human
 table whose columns are Sensor | Value Function | Standalone Value | Shapley
 Value, and a JSON document with a fixed key layout and full-precision numbers
 so byte-level diffing of outputs is meaningful.
@@ -27,7 +27,7 @@ so byte-level diffing of outputs is meaningful.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any
 
 from .model import LtiModel, Sensor, validate_model
@@ -203,7 +203,7 @@ def render_json(
     sensor's ``share_of_total`` is omitted when the grand value is not
     positive.
     """
-    method = {k: v for k, v in asdict(result.method).items() if v is not None}
+    method = {k: v for k, v in vars(result.method).items() if v is not None}
     grand = result.grand_value
     per_sensor = []
     for name, standalone, shapley in _sensor_rows(result):
@@ -221,10 +221,10 @@ def render_json(
         "efficiency_residual": result.efficiency_residual,
         "per_sensor": per_sensor,
         "axiom_report": (
-            None if axioms is None else asdict(axioms) | {"passed": axioms.passed}
+            None if axioms is None else vars(axioms) | {"passed": axioms.passed}
         ),
     }
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False, default=vars) + "\n"
 
 
 def _fmt(value: float) -> str:

@@ -105,6 +105,26 @@ class TestGramianDirect:
             gramian_direct(scenario1_model, 0b100001)
 
 
+def wide_bank_corpus(count, seed=60601):
+    """Stable models with n up to 24, p up to 11 and h up to 299; rows spread
+    over 1e-3..1e3 with exact zeros (so outer products meet -0.0); and last,
+    one defective (Jordan-block) state matrix."""
+    rng = np.random.default_rng(seed)
+    shapes = []
+    for _ in range(count):
+        n, p = int(rng.integers(1, 25)), int(rng.integers(1, 12))
+        state = rng.standard_normal((n, n))
+        state *= rng.uniform(0.5, 1.0) / max(abs(np.linalg.eigvals(state)))
+        rows = rng.standard_normal((p, n)) * 10.0 ** rng.uniform(-3, 3, (p, n))
+        rows[rng.random((p, n)) < 0.25] = 0.0
+        shapes.append((state, rows, int(rng.integers(1, 300))))
+    shapes.append((0.9 * np.eye(6) + np.eye(6, k=1), np.eye(6)[::2] - 0.5, 299))
+    return [
+        LtiModel(state, tuple(Sensor(f"s{i}", r) for i, r in enumerate(rows)), h)
+        for state, rows, h in shapes
+    ]
+
+
 class TestPerSensorGramians:
     def test_four_sensor_traces(self, scenario2_model):
         bank = per_sensor_gramians(scenario2_model)
@@ -129,6 +149,15 @@ class TestPerSensorGramians:
         for i in range(4):
             direct = gramian_direct(scenario2_model, 1 << i)
             np.testing.assert_array_equal(bank[i], direct)
+
+    def test_members_equal_direct_gramians_bit_for_bit_on_wide_corpus(self):
+        for model in wide_bank_corpus(80):
+            bank = per_sensor_gramians(model)
+            for i in range(model.sensor_count):
+                direct = gramian_direct(model, 1 << i)
+                assert np.array_equal(
+                    bank[i].view(np.uint64), direct.view(np.uint64)
+                ), (model.state_dimension, model.sensor_count, i)
 
     def test_members_checked_with_one_eigen_solve(self, scenario2_model, monkeypatch):
         calls = []
