@@ -26,10 +26,10 @@ from .metrics import (
 from .model import (
     ENUMERATION_CAP,
     EnumerationCapExceeded,
+    InvalidModel,
     LtiModel,
     Sensor,
     ValidationResult,
-    require_valid,
     validate_model,
 )
 from .report import (
@@ -61,6 +61,7 @@ __all__ = [
     "AttributionResult",
     "AxiomReport",
     "EnumerationCapExceeded",
+    "InvalidModel",
     "LtiModel",
     "ModelDocument",
     "ModelDocumentError",
@@ -80,7 +81,6 @@ __all__ = [
     "render_json",
     "render_model_document",
     "render_table",
-    "require_valid",
     "scenario_document",
     "shapley_exact",
     "shapley_from_table",

@@ -30,7 +30,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .model import LtiModel, require_valid
+from .model import LtiModel
 
 __all__ = [
     "coalition_gramians",
@@ -120,15 +120,14 @@ def observability_matrix(model: LtiModel, mask: int) -> np.ndarray:
     """The stacked blocks C_S A^k for k = 0..K of the non-empty coalition
     with membership bitmask ``mask``, as a read-only array with
     (K+1) * |S| rows."""
-    require_valid(model)
     stacked = np.vstack(list(_blocks(model, mask)))
     stacked.setflags(write=False)
     return stacked
 
 
 def _direct_sum(model: LtiModel, mask: int) -> np.ndarray:
-    # sum_k (C_S A^k)^T (C_S A^k) for an already validated model. Overflow is
-    # left to the callers' finiteness checks instead of leaking warnings.
+    # sum_k (C_S A^k)^T (C_S A^k). Overflow is left to the callers'
+    # finiteness checks instead of leaking warnings.
     n = model.state_dimension
     acc = np.zeros((n, n))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -145,7 +144,6 @@ def gramian_direct(model: LtiModel, mask: int) -> np.ndarray:
     the reference construction; production paths sum the per-sensor bank
     instead (see ``coalition_gramians``).
     """
-    require_valid(model)
     return _checked_gramians(_direct_sum(model, mask)[None], [mask])[0]
 
 
@@ -159,7 +157,6 @@ def per_sensor_gramians(model: LtiModel) -> np.ndarray:
     PSD) as one stack. Dynamics that overflow within the window are rejected
     with a ``ValueError`` naming the sensor and the horizon.
     """
-    require_valid(model)
     n, h = model.state_dimension, model.horizon_samples
     rows = [sensor.row[None, :] for sensor in model.sensors]
     bank = np.zeros((len(rows), n, n))

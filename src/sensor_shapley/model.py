@@ -10,9 +10,11 @@ a membership bitmask over the model's sensor indices (bit i set means sensor
 i is a member; see :mod:`~sensor_shapley.gramian`).
 
 All types here are immutable after construction and safe to share across
-threads. Model validation is data, not an exception: ``validate_model``
-returns the list of violated invariants so callers can report them all at
-once. Operations that require a well-formed model call ``require_valid``.
+threads. An ``LtiModel`` is valid by construction: its constructor runs
+``validate_model`` and raises :class:`InvalidModel` listing every violated
+invariant, so no other code checks a model again. Validation itself is
+data, not an exception: ``validate_model`` returns the violations so that
+they can all be reported at once.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ import numpy as np
 __all__ = [
     "ENUMERATION_CAP",
     "EnumerationCapExceeded",
+    "InvalidModel",
     "LtiModel",
     "Sensor",
     "ValidationResult",
     "require_enumerable",
-    "require_valid",
     "validate_model",
 ]
 
@@ -40,6 +42,15 @@ ENUMERATION_CAP = 24
 
 class EnumerationCapExceeded(ValueError):
     """Raised when an exact 2^p enumeration would exceed ``ENUMERATION_CAP``."""
+
+
+class InvalidModel(ValueError):
+    """Raised when an ``LtiModel`` is built from malformed data; ``violations``
+    holds every violated invariant, as ``validate_model`` reports them."""
+
+    def __init__(self, violations: tuple[str, ...]):
+        self.violations = violations
+        super().__init__("invalid model: " + "; ".join(violations))
 
 
 def _as_readonly_float_array(values) -> np.ndarray:
@@ -67,8 +78,9 @@ class Sensor:
 class LtiModel:
     """Autonomous discrete-time LTI system with named scalar sensors.
 
-    Construction only coerces array types; shape and finiteness checks live
-    in ``validate_model`` so that malformed inputs can be reported as data.
+    Construction coerces the arrays, then checks every invariant of
+    ``validate_model`` and raises :class:`InvalidModel` listing all of the
+    violations, so every ``LtiModel`` that exists is valid.
     """
 
     state_matrix: np.ndarray
@@ -80,6 +92,9 @@ class LtiModel:
             self, "state_matrix", _as_readonly_float_array(self.state_matrix)
         )
         object.__setattr__(self, "sensors", tuple(self.sensors))
+        violations = validate_model(self).violations
+        if violations:
+            raise InvalidModel(violations)
 
     @property
     def state_dimension(self) -> int:
@@ -107,7 +122,8 @@ def validate_model(model: LtiModel) -> ValidationResult:
     Each violation message names the offending field. A model is valid iff
     the state matrix is square and finite, every sensor row is a finite
     vector of matching length with a unique non-empty name, and the horizon
-    is a positive sample count.
+    is a positive sample count. ``LtiModel`` runs this on every
+    construction.
     """
     violations: list[str] = []
 
@@ -152,17 +168,9 @@ def validate_model(model: LtiModel) -> ValidationResult:
     return ValidationResult(tuple(violations))
 
 
-def require_valid(model: LtiModel) -> None:
-    """Raise ``ValueError`` listing all violations if the model is malformed."""
-    result = validate_model(model)
-    if not result.ok:
-        raise ValueError("invalid model: " + "; ".join(result.violations))
-
-
 def require_enumerable(model: LtiModel) -> None:
-    """``require_valid``, then refuse sensor counts above ``ENUMERATION_CAP``
-    with :class:`EnumerationCapExceeded` before any 2^p work starts."""
-    require_valid(model)
+    """Refuse sensor counts above ``ENUMERATION_CAP`` with
+    :class:`EnumerationCapExceeded` before any 2^p work starts."""
     p = model.sensor_count
     if p > ENUMERATION_CAP:
         raise EnumerationCapExceeded(

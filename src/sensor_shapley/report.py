@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from .model import LtiModel, Sensor, validate_model
+from .model import InvalidModel, LtiModel, Sensor
 from .shapley import AttributionResult, AxiomReport
 
 __all__ = [
@@ -59,7 +59,7 @@ class ModelDocumentError(ValueError):
 
 @dataclass(frozen=True)
 class ModelDocument:
-    """A parsed model file: the validated model plus its display name."""
+    """A parsed model file: the model plus its display name."""
 
     name: str | None
     model: LtiModel
@@ -76,12 +76,19 @@ def _schema_error(message: str, location: str) -> ModelDocumentError:
 def _number_row(value: Any, location: str) -> list[float]:
     if not isinstance(value, list) or not value:
         raise _schema_error("expected a non-empty array of numbers", location)
+    row = []
     for j, entry in enumerate(value):
         if not _is_number(entry):
             raise _schema_error(
                 f"expected a number, got {entry!r}", f"{location}[{j}]"
             )
-    return [float(entry) for entry in value]
+        try:
+            row.append(float(entry))
+        except OverflowError:  # an integer literal beyond the float range
+            raise _schema_error(
+                "number is too large for a float", f"{location}[{j}]"
+            ) from None
+    return row
 
 
 def parse_model_document(text: str) -> ModelDocument:
@@ -161,10 +168,10 @@ def parse_model_document(text: str) -> ModelDocument:
             f"expected a positive integer, got {horizon!r}", "horizon_samples"
         )
 
-    model = LtiModel(matrix, tuple(sensors), horizon)
-    result = validate_model(model)
-    if not result.ok:
-        raise ModelDocumentError("validation", "; ".join(result.violations))
+    try:
+        model = LtiModel(matrix, tuple(sensors), horizon)
+    except InvalidModel as err:
+        raise ModelDocumentError("validation", "; ".join(err.violations)) from None
     return ModelDocument(name, model)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .gramian import full_gramian, gramian_direct, pack_masks, per_sensor_gramians
 from .metrics import ValueFunctionKind, coalition_values, evaluate
-from .model import LtiModel, require_enumerable, require_valid
+from .model import LtiModel, require_enumerable
 
 __all__ = [
     "AttributionMethod",
@@ -170,7 +170,6 @@ def shapley_exact(model: LtiModel, kind: ValueFunctionKind) -> AttributionResult
 def _attribution(model, kind, bank, method, phi, standalone, grand, table=None):
     # The result fields shared by the exact and sampled paths.
     grand = float(grand)
-    standalone = np.array(standalone)  # not a view of the sampler's buffer
     grand_gramian = full_gramian(bank)
     for array in (standalone, phi, grand_gramian):
         array.setflags(write=False)
@@ -213,7 +212,6 @@ def shapley_permutation_oracle(model: LtiModel, kind: ValueFunctionKind) -> np.n
     value table and subset-sum path, which makes this the cross-check for
     ``shapley_exact``. Limited to small sensor counts.
     """
-    require_valid(model)
     p = model.sensor_count
     if p > ORACLE_MAX_SENSORS:
         raise ValueError(
@@ -255,12 +253,12 @@ def shapley_sampled(
     ``rng.permutation(p)`` calls) and averages each sensor's marginal
     contribution along them, the estimator of Castro, Gomez & Tejada (2009).
     Prefix coalitions are packed bitmask words, so any sensor count works;
-    each distinct coalition is valued once. The per-ordering marginals
-    telescope to the grand value, so the estimates sum to it up to
-    accumulation rounding regardless of sample size. Results are bitwise
-    reproducible for a fixed (model, metric, num_permutations, seed).
+    each distinct prefix is valued once, and the standalone values are the
+    metric on the bank itself. The per-ordering marginals telescope to the
+    grand value, so the estimates sum to it up to accumulation rounding
+    regardless of sample size. Results are bitwise reproducible for a fixed
+    (model, metric, num_permutations, seed).
     """
-    require_valid(model)
     if num_permutations < 1:
         raise ValueError(
             f"num_permutations must be a positive integer, got {num_permutations}"
@@ -273,11 +271,9 @@ def shapley_sampled(
     )
     singles = pack_masks(np.eye(p, dtype=bool))
     prefixes = np.bitwise_or.accumulate(singles[orderings], axis=1)
-    masks, inverse = _unique_rows(
-        np.concatenate([singles, prefixes.reshape(-1, singles.shape[1])])
-    )
-    values = coalition_values(bank, kind, masks)[inverse]
-    standalone, prefix_values = values[:p], values[p:].reshape(orderings.shape)
+    masks, inverse = _unique_rows(prefixes.reshape(-1, singles.shape[1]))
+    values = coalition_values(bank, kind, masks)
+    prefix_values = values[inverse].reshape(orderings.shape)
 
     marginals = np.diff(prefix_values, axis=1, prepend=0.0)
     phi = np.zeros(p)
@@ -285,6 +281,7 @@ def shapley_sampled(
     phi /= num_permutations
     method = AttributionMethod("permutation-sampling", num_permutations, seed)
     grand = prefix_values[0, -1]
+    standalone = evaluate(kind, bank)
     return _attribution(model, kind, bank, method, phi, standalone, grand)
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from sensor_shapley import cli, gramian, model, report, shapley
+from sensor_shapley import cli, gramian, model, shapley
 from sensor_shapley.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -157,16 +157,15 @@ class TestWorkPerAnalyze:
     def test_validation_count_does_not_grow_with_sensors(
         self, tmp_path, capsys, monkeypatch, extra
     ):
-        counts = []
+        # once, by the constructor; nothing downstream checks the model again
         for p in (3, 9):
-            calls = counting(monkeypatch, model, "validate_model")
-            calls += counting(monkeypatch, report, "validate_model")
             path = write_model(tmp_path, sensors_payload(p), f"p{p}.json")
-            code, _, _ = run(capsys, "analyze", "--model", path, *extra)
-            assert code == 0
-            counts.append(len(calls))
-            monkeypatch.undo()
-        assert counts[0] == counts[1] <= 3
+            for argv in (["analyze", *extra], ["check"]):
+                calls = counting(monkeypatch, model, "validate_model")
+                code, _, _ = run(capsys, *argv, "--model", path)
+                assert code == 0
+                assert len(calls) == 1
+                monkeypatch.undo()
 
     @pytest.mark.parametrize("extra", [[], ["--sample", "30"]])
     def test_bank_and_table_built_once(self, tmp_path, capsys, monkeypatch, extra):
@@ -220,6 +219,48 @@ class TestAnalyzeErrors:
         code, _, err = run(capsys, "analyze", "--model", path)
         assert code == 2
         assert "row length mismatch" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "check"])
+    def test_every_violation_on_one_line(self, tmp_path, capsys, command):
+        path = tmp_path / "model.json"
+        path.write_text(  # 1e400 parses to inf
+            '{"state_matrix": [[1.0, 1e400]], "sensors": ['
+            '{"name": "a", "row": [1.0]}, {"name": "a", "row": [1e400, 0.0]}, '
+            '{"name": "b", "row": [2.0, 3.0, 4.0]}], "horizon_samples": 3}',
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, command, "--model", str(path))
+        assert code == 2 and out == ""
+        assert err == (
+            "sensor-shapley: error: model document validation error: "
+            "state_matrix: expected a square matrix, got shape (1, 2); "
+            "state_matrix: non-finite entry at (0, 1); "
+            "sensors[1].name: duplicate sensor name 'a'; "
+            "sensors[1].row: non-finite entry at index 0\n"
+        )
+
+    @pytest.mark.parametrize("command", ["analyze", "check"])
+    @pytest.mark.parametrize("location", ["state_matrix[1][1]", "sensors[0].row[1]"])
+    def test_oversized_integer_is_a_schema_error(
+        self, tmp_path, capsys, command, location
+    ):
+        payload = {
+            "state_matrix": [[1.0, 0.0], [0.0, 1.0]],
+            "sensors": [{"name": "a", "row": [1.0, 0.0]}],
+            "horizon_samples": 3,
+        }
+        # a 400-digit integer literal has no float value
+        if location.startswith("state_matrix"):
+            payload["state_matrix"][1][1] = 10**400
+        else:
+            payload["sensors"][0]["row"][1] = 10**400
+        path = write_model(tmp_path, payload)
+        code, out, err = run(capsys, command, "--model", path)
+        assert code == 2 and out == ""
+        assert err == (
+            f"sensor-shapley: error: model document schema error at "
+            f"{location}: number is too large for a float\n"
+        )
 
     def test_missing_model_source(self, capsys):
         code, _, _ = run(capsys, "analyze")

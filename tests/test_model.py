@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from sensor_shapley import (
     EnumerationCapExceeded,
+    InvalidModel,
     LtiModel,
     Sensor,
-    require_valid,
     validate_model,
 )
 from sensor_shapley.model import require_enumerable
@@ -21,61 +23,70 @@ def two_state_model(horizon=10):
     )
 
 
+def violations_of(state_matrix, sensors, horizon):
+    """The violations an ``LtiModel`` built from these fields raises with."""
+    with pytest.raises(InvalidModel) as err:
+        LtiModel(state_matrix, sensors, horizon)
+    return err.value.violations
+
+
 class TestValidateModel:
     def test_scenario_models_are_valid(self, scenario1_model, scenario2_model):
         assert validate_model(scenario1_model).ok
         assert validate_model(scenario2_model).ok
 
     def test_row_length_mismatch(self):
-        model = LtiModel([[1.0, 0.0], [0.0, 1.0]], (Sensor("a", [1.0]),), 5)
-        result = validate_model(model)
-        assert not result.ok
-        assert any("row length mismatch" in v for v in result.violations)
+        violations = violations_of([[1.0, 0.0], [0.0, 1.0]], (Sensor("a", [1.0]),), 5)
+        assert any("row length mismatch" in v for v in violations)
 
     def test_non_finite_state_matrix(self):
-        model = LtiModel(
+        violations = violations_of(
             [[1.0, np.nan], [0.0, 1.0]], (Sensor("a", [1.0, 0.0]),), 5
         )
-        result = validate_model(model)
-        assert any("non-finite entry" in v for v in result.violations)
-        assert any("state_matrix" in v for v in result.violations)
+        assert any("non-finite entry" in v for v in violations)
+        assert any("state_matrix" in v for v in violations)
 
     def test_non_finite_sensor_row(self):
-        model = LtiModel([[1.0]], (Sensor("a", [np.inf]),), 5)
-        result = validate_model(model)
-        assert any("non-finite entry" in v for v in result.violations)
+        violations = violations_of([[1.0]], (Sensor("a", [np.inf]),), 5)
+        assert any("non-finite entry" in v for v in violations)
 
     def test_non_square_state_matrix(self):
-        model = LtiModel([[1.0, 0.0]], (Sensor("a", [1.0, 0.0]),), 5)
-        result = validate_model(model)
-        assert any("square" in v for v in result.violations)
+        violations = violations_of([[1.0, 0.0]], (Sensor("a", [1.0, 0.0]),), 5)
+        assert any("square" in v for v in violations)
 
     def test_no_sensors(self):
-        model = LtiModel([[1.0]], (), 5)
-        result = validate_model(model)
-        assert any("at least one sensor" in v for v in result.violations)
+        violations = violations_of([[1.0]], (), 5)
+        assert any("at least one sensor" in v for v in violations)
 
     def test_duplicate_sensor_names(self):
-        model = LtiModel(
+        violations = violations_of(
             [[1.0]], (Sensor("a", [1.0]), Sensor("a", [2.0])), 5
         )
-        result = validate_model(model)
-        assert any("duplicate" in v for v in result.violations)
+        assert any("duplicate" in v for v in violations)
 
     def test_empty_sensor_name(self):
-        model = LtiModel([[1.0]], (Sensor("", [1.0]),), 5)
-        result = validate_model(model)
-        assert any("non-empty string" in v for v in result.violations)
+        violations = violations_of([[1.0]], (Sensor("", [1.0]),), 5)
+        assert any("non-empty string" in v for v in violations)
 
     def test_bad_horizon(self):
-        model = LtiModel([[1.0]], (Sensor("a", [1.0]),), 0)
-        result = validate_model(model)
-        assert any("horizon_samples" in v for v in result.violations)
+        violations = violations_of([[1.0]], (Sensor("a", [1.0]),), 0)
+        assert any("horizon_samples" in v for v in violations)
 
-    def test_require_valid_raises_with_all_violations(self):
-        model = LtiModel([[1.0, 0.0], [0.0, 1.0]], (Sensor("a", [1.0]),), 0)
-        with pytest.raises(ValueError, match="invalid model"):
-            require_valid(model)
+    def test_invalid_model_lists_all_violations(self):
+        violations = violations_of(
+            [[1.0, 0.0], [0.0, 1.0]], (Sensor("a", [1.0]),), 0
+        )
+        assert violations == (
+            "sensors[0].row: row length mismatch (got 1, state dimension is 2)",
+            "horizon_samples: must be a positive integer, got 0",
+        )
+        with pytest.raises(InvalidModel) as err:
+            LtiModel([[1.0, 0.0], [0.0, 1.0]], (Sensor("a", [1.0]),), 0)
+        assert str(err.value) == "invalid model: " + "; ".join(violations)
+
+    def test_replace_revalidates(self):
+        with pytest.raises(InvalidModel, match="horizon_samples"):
+            dataclasses.replace(two_state_model(), horizon_samples=0)
 
     def test_model_arrays_are_read_only(self):
         model = two_state_model()
@@ -91,5 +102,9 @@ class TestRequireEnumerable:
             require_enumerable(over_the_cap_model())
 
     def test_validates_before_the_cap(self):
-        with pytest.raises(ValueError, match="invalid model"):
-            require_enumerable(over_the_cap_model(horizon=0))
+        # an invalid model over the cap never exists to be capped
+        with pytest.raises(InvalidModel, match="invalid model") as err:
+            over_the_cap_model(horizon=0)
+        assert err.value.violations == (
+            "horizon_samples: must be a positive integer, got 0",
+        )
