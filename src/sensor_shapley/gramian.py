@@ -14,8 +14,12 @@ batch of coalitions are stacked n x n sums of bank members
 (``coalition_gramians``). The bank propagates A^k once and forms every
 sensor's block c_i A^k from it; ``gramian_direct`` keeps the definition-level
 construction, with its own power chain, as the independent cross-check. Every
-Gramian is a plain read-only array; the bank and ``gramian_direct`` pass the
-same checks (finite, symmetric, PSD) on the way out.
+Gramian is a plain read-only array. Overflow is caught when the bank is built,
+naming the sensor. The PSD rule (``_min_eigenvalues``) runs on the bank, on
+``gramian_direct`` and in the min-eig ``evaluate``, which also catches
+non-finite coalition sums. Symmetry holds by construction: entries (i, j) and
+(j, i) are the same products added in the same order, so they are never
+checked or symmetrized.
 
 The system is observable over the window iff the full-coalition Gramian is
 positive definite, i.e. its minimum eigenvalue is strictly positive.
@@ -42,8 +46,6 @@ __all__ = [
     "per_sensor_gramians",
 ]
 
-# Relative asymmetry tolerated before a matrix is rejected as non-symmetric.
-SYMMETRY_RTOL = 1e-12
 # Eigenvalues may dip this far below zero (relative to the largest one,
 # floored absolutely) before a Gramian is rejected as non-PSD.
 PSD_RTOL = 1e-9
@@ -54,39 +56,24 @@ def _members(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _label(mask) -> str:
-    return "{" + ", ".join(map(str, _members(int(mask)))) + "}"
-
-
-def _checked_gramians(stack: np.ndarray, masks: list[int]) -> np.ndarray:
-    # The checks every Gramian of the bank and of gramian_direct passes:
-    # finite, symmetric within SYMMETRY_RTOL of its largest entry, and PSD
-    # within PSD_RTOL / PSD_FLOOR. Returns the (k, n, n) stack symmetrized as
-    # (M + M^T)/2 and read-only; masks[j] names member j in the PSD error.
-    if not np.all(np.isfinite(stack)):
+def _min_eigenvalues(gramians: np.ndarray) -> np.ndarray:
+    # The minimum eigenvalue of each Gramian of an (n, n) matrix or (k, n, n)
+    # stack, under the one numerical contract on Gramians: entries are finite,
+    # and minimum eigenvalues below -max(PSD_RTOL * lambda_max, PSD_FLOOR) are
+    # rejected while those within that tolerance below zero are clamped to 0.
+    if not np.all(np.isfinite(gramians)):
         raise ValueError("Gramian contains non-finite entries")
-    flipped = np.swapaxes(stack, -1, -2)
-    scale = np.max(np.abs(stack), axis=(1, 2))
-    asym = np.max(np.abs(stack - flipped), axis=(1, 2))
-    bad = np.flatnonzero(asym > SYMMETRY_RTOL * scale)
-    if bad.size:
-        j = bad[0]
+    eigs = np.linalg.eigvalsh(gramians)
+    lo = eigs[..., 0]
+    beyond = lo < -np.maximum(PSD_RTOL * eigs[..., -1], PSD_FLOOR)
+    if np.any(beyond):
         raise ValueError(
-            f"Gramian is not symmetric within tolerance "
-            f"(max asymmetry {asym[j]:.3e}, max entry {scale[j]:.3e})"
+            f"Gramian is not positive semidefinite (minimum eigenvalue "
+            f"{np.min(lo[beyond]):.6e})"
         )
-    sym = (stack + flipped) / 2.0
-    eigs = np.linalg.eigvalsh(sym)
-    tol = np.maximum(PSD_RTOL * eigs[:, -1], PSD_FLOOR)
-    bad = np.flatnonzero(eigs[:, 0] < -tol)
-    if bad.size:
-        j = bad[0]
-        raise ValueError(
-            f"Gramian for coalition {_label(masks[j])} is not positive "
-            f"semidefinite (minimum eigenvalue {eigs[j, 0]:.6e})"
-        )
-    sym.setflags(write=False)
-    return sym
+    # A rank-deficient Gramian reports exactly "unobservable", not a tiny
+    # negative eigensolver residue; np.where keeps the sign of a -0.0.
+    return np.where(lo >= 0.0, lo, 0.0)
 
 
 def _coalition_rows(model: LtiModel, mask: int) -> np.ndarray:
@@ -96,8 +83,9 @@ def _coalition_rows(model: LtiModel, mask: int) -> np.ndarray:
     if mask < 0:
         raise ValueError(f"coalition bitmask must be non-negative, got {mask}")
     if mask >> model.sensor_count:
+        members = ", ".join(map(str, _members(mask)))
         raise ValueError(
-            f"coalition {_label(mask)} references sensor index "
+            f"coalition {{{members}}} references sensor index "
             f"{mask.bit_length() - 1} but only {model.sensor_count} sensors exist"
         )
     if not mask:
@@ -144,7 +132,10 @@ def gramian_direct(model: LtiModel, mask: int) -> np.ndarray:
     the reference construction; production paths sum the per-sensor bank
     instead (see ``coalition_gramians``).
     """
-    return _checked_gramians(_direct_sum(model, mask)[None], [mask])[0]
+    gram = _direct_sum(model, mask)
+    _min_eigenvalues(gram)
+    gram.setflags(write=False)
+    return gram
 
 
 def per_sensor_gramians(model: LtiModel) -> np.ndarray:
@@ -153,9 +144,9 @@ def per_sensor_gramians(model: LtiModel) -> np.ndarray:
 
     Each step of one power chain adds the outer product of c_i A^k with
     itself to sensor i's slot, the bits of the singleton's ``gramian_direct``.
-    The members pass the checks of ``gramian_direct`` (finite, symmetric,
-    PSD) as one stack. Dynamics that overflow within the window are rejected
-    with a ``ValueError`` naming the sensor and the horizon.
+    Dynamics that overflow within the window are rejected with a
+    ``ValueError`` naming the sensor and the horizon; the members then pass
+    the PSD check of ``gramian_direct`` as one stack.
     """
     n, h = model.state_dimension, model.horizon_samples
     rows = [sensor.row[None, :] for sensor in model.sensors]
@@ -174,7 +165,9 @@ def per_sensor_gramians(model: LtiModel) -> np.ndarray:
             f"non-finite values over {h} samples: the dynamics grow too fast "
             f"for this horizon"
         )
-    return _checked_gramians(bank, [1 << i for i in range(len(bank))])
+    _min_eigenvalues(bank)
+    bank.setflags(write=False)
+    return bank
 
 
 def pack_masks(members: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .gramian import PSD_FLOOR, PSD_RTOL, coalition_gramians, per_sensor_gramians
+from .gramian import _min_eigenvalues, coalition_gramians, per_sensor_gramians
 from .model import LtiModel, require_enumerable
 
 __all__ = [
@@ -70,22 +70,12 @@ def evaluate(kind: ValueFunctionKind, gramians: np.ndarray) -> np.ndarray:
     within that tolerance below zero are clamped to 0, so the zero Gramian
     (empty coalition) evaluates to exactly 0 for every metric.
     """
+    if kind is ValueFunctionKind.MIN_EIGENVALUE:
+        return _min_eigenvalues(gramians)
     if not np.all(np.isfinite(gramians)):
         raise ValueError("Gramian contains non-finite entries")
     if kind is ValueFunctionKind.TRACE:
         return np.trace(gramians, axis1=-2, axis2=-1)
-    if kind is ValueFunctionKind.MIN_EIGENVALUE:
-        eigs = np.linalg.eigvalsh(gramians)
-        lo = eigs[..., 0]
-        beyond = lo < -np.maximum(PSD_RTOL * eigs[..., -1], PSD_FLOOR)
-        if np.any(beyond):
-            raise ValueError(
-                f"Gramian is not positive semidefinite (minimum eigenvalue "
-                f"{np.min(lo[beyond]):.6e})"
-            )
-        # A rank-deficient Gramian reports exactly "unobservable", not a tiny
-        # negative eigensolver residue; np.where keeps the sign of a -0.0.
-        return np.where(lo >= 0.0, lo, 0.0)
     raise ValueError(f"no evaluator registered for {kind!r}")
 
 

@@ -73,21 +73,32 @@ def _schema_error(message: str, location: str) -> ModelDocumentError:
     return ModelDocumentError("schema", message, location)
 
 
+# json.loads yields this in place of an integer literal beyond the float range
+# (int() refuses those over 4300 digits), so the schema rejects it at its location.
+_TOO_LARGE = object()
+
+
+def _parse_int(token: str):
+    try:
+        value = int(token)
+        float(value)
+    except (ValueError, OverflowError):
+        return _TOO_LARGE
+    return value
+
+
 def _number_row(value: Any, location: str) -> list[float]:
     if not isinstance(value, list) or not value:
         raise _schema_error("expected a non-empty array of numbers", location)
     row = []
     for j, entry in enumerate(value):
+        if entry is _TOO_LARGE:
+            raise _schema_error("number is too large for a float", f"{location}[{j}]")
         if not _is_number(entry):
             raise _schema_error(
                 f"expected a number, got {entry!r}", f"{location}[{j}]"
             )
-        try:
-            row.append(float(entry))
-        except OverflowError:  # an integer literal beyond the float range
-            raise _schema_error(
-                "number is too large for a float", f"{location}[{j}]"
-            ) from None
+        row.append(float(entry))
     return row
 
 
@@ -100,11 +111,13 @@ def parse_model_document(text: str) -> ModelDocument:
         )
 
     try:
-        data = json.loads(text, parse_constant=reject_constant)
+        data = json.loads(text, parse_constant=reject_constant, parse_int=_parse_int)
     except json.JSONDecodeError as err:
         raise ModelDocumentError(
             "syntax", err.msg, f"line {err.lineno} column {err.colno}"
         ) from None
+    except RecursionError:
+        raise ModelDocumentError("syntax", "nesting is too deep") from None
 
     if not isinstance(data, dict):
         raise _schema_error("expected a JSON object", "document")
@@ -163,6 +176,8 @@ def parse_model_document(text: str) -> ModelDocument:
         )
 
     horizon = data["horizon_samples"]
+    if horizon is _TOO_LARGE:
+        raise _schema_error("integer is too large", "horizon_samples")
     if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
         raise _schema_error(
             f"expected a positive integer, got {horizon!r}", "horizon_samples"

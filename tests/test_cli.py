@@ -262,6 +262,44 @@ class TestAnalyzeErrors:
             f"{location}: number is too large for a float\n"
         )
 
+    @pytest.mark.parametrize(
+        "location, message",
+        [
+            ("state_matrix[0][0]", "number is too large for a float"),
+            ("horizon_samples", "integer is too large"),
+        ],
+    )
+    def test_integer_beyond_the_digit_limit_is_a_schema_error(
+        self, tmp_path, capsys, location, message
+    ):
+        # int() refuses literals over 4300 digits, json.loads included
+        long = "1" * 5000
+        matrix, horizon = ("1", long) if location == "horizon_samples" else (long, "3")
+        path = tmp_path / "model.json"
+        path.write_text(
+            f'{{"state_matrix": [[{matrix}]], "sensors": [{{"name": "a", '
+            f'"row": [1]}}], "horizon_samples": {horizon}}}',
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "analyze", "--model", str(path))
+        assert code == 2 and out == ""
+        assert err == (
+            f"sensor-shapley: error: model document schema error at "
+            f"{location}: {message}\n"
+        )
+
+    def test_nesting_beyond_the_recursion_limit_is_a_syntax_error(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "model.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        code, out, err = run(capsys, "check", "--model", str(path))
+        assert code == 2 and out == ""
+        assert err == (
+            "sensor-shapley: error: model document syntax error: "
+            "nesting is too deep\n"
+        )
+
     def test_missing_model_source(self, capsys):
         code, _, _ = run(capsys, "analyze")
         assert code == 2
@@ -366,6 +404,42 @@ class TestAnalyzeErrors:
                 code, out, err = run(capsys, command, "--model", path)
             assert code == 2 and out == ""
             assert "sensor 'a'" in err and "800 samples" in err
+
+
+class TestNearTheFloatRange:
+    COMMANDS = [
+        ("analyze", "--metric", "trace"),
+        ("analyze", "--metric", "min-eig"),
+        ("check",),
+    ]
+
+    @staticmethod
+    def model(tmp_path, rows):
+        sensors = [{"name": f"s{i}", "row": row} for i, row in enumerate(rows)]
+        payload = {"state_matrix": [[1.0]], "sensors": sensors, "horizon_samples": 1}
+        return write_model(tmp_path, payload)
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_bank_entry_above_half_the_float_range_is_accepted(
+        self, tmp_path, capsys, argv
+    ):
+        path = self.model(tmp_path, [[1e154]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv, "--model", path)
+        assert code == 0 and err == ""
+        assert "1e+308" in out
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_coalition_sum_beyond_the_float_range_is_refused(
+        self, tmp_path, capsys, argv
+    ):
+        path = self.model(tmp_path, [[8e153]] * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv, "--model", path)
+        assert code == 2 and out == ""
+        assert err == "sensor-shapley: error: Gramian contains non-finite entries\n"
 
 
 class TestCheck:

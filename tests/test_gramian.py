@@ -248,43 +248,54 @@ class TestCoalitionGramian:
 
 
 class TestGramianType:
-    """The one stacked check every bank member and direct Gramian passes."""
+    """The numerical contract every bank member and direct Gramian meets."""
 
-    def test_rejects_asymmetric_entries(self):
-        stack = np.array([np.eye(2), [[1.0, 2.0], [0.0, 1.0]]])
-        expected = (
-            r"Gramian is not symmetric within tolerance "
-            r"\(max asymmetry 2\.000e\+00, max entry 2\.000e\+00\)"
-        )
-        with pytest.raises(ValueError, match=expected):
-            gramian._checked_gramians(stack, [1, 2])
+    def test_members_and_direct_gramians_are_exactly_symmetric(self):
+        rng = np.random.default_rng(6160)
+        for model in wide_bank_corpus(80):
+            grams = list(per_sensor_gramians(model))
+            p = model.sensor_count
+            for _ in range(3 if p > 1 else 0):  # two or more members each
+                mask = int(rng.integers(1 << p)) | 0b11 << int(rng.integers(p - 1))
+                grams.append(gramian_direct(model, mask))
+            for g in grams:
+                assert g.tobytes() == np.ascontiguousarray(g.T).tobytes()
 
     def test_rejects_indefinite_entries(self):
-        stack = np.array([np.eye(2), np.diag([-1.0, 1.0])])
+        # the tolerance below zero is max(PSD_RTOL * lambda_max, PSD_FLOOR)
+        within = np.array([np.diag([-0.9e-12, 1e-4]), np.diag([-0.9e-9, 1.0])])
+        assert gramian._min_eigenvalues(within).tolist() == [0.0, 0.0]
+        for beyond in (np.diag([-1.1e-12, 1e-4]), np.diag([-1.1e-9, 1.0])):
+            expected = r"not positive semidefinite \(minimum eigenvalue -1\.100000e"
+            with pytest.raises(ValueError, match=expected):
+                gramian._min_eigenvalues(beyond)
+
+    def test_direct_rejects_an_indefinite_sum(self, scenario1_model, monkeypatch):
+        monkeypatch.setattr(
+            gramian, "_direct_sum", lambda model, mask: np.diag([-1.0, 1.0])
+        )
         expected = (
-            r"Gramian for coalition \{0, 2\} is not positive semidefinite "
+            r"Gramian is not positive semidefinite "
             r"\(minimum eigenvalue -1\.000000e\+00\)"
         )
         with pytest.raises(ValueError, match=expected):
-            gramian._checked_gramians(stack, [0b10, 0b101])
+            gramian_direct(scenario1_model, 0b11)
 
     def test_rejects_non_finite_entries(self):
         stack = np.array([np.eye(2), [[1.0, np.inf], [np.inf, 1.0]]])
         with pytest.raises(ValueError, match="Gramian contains non-finite entries"):
-            gramian._checked_gramians(stack, [1, 2])
-
-    def test_symmetrizes_fp_drift(self):
-        drift = 1e-14
-        m = np.array([[1.0, 0.5 + drift], [0.5 - drift, 1.0]])
-        got = gramian._checked_gramians(np.array([m, m.T]), [1, 2])
-        np.testing.assert_array_equal(got, np.swapaxes(got, 1, 2))
-        np.testing.assert_array_equal(got[0], (m + m.T) / 2.0)
+            gramian._min_eigenvalues(stack)
+        sensors = (Sensor("x1", [1.0, 0.0]), Sensor("x2", [0.0, 1.0]))
+        model = LtiModel(np.diag([3.0, 0.5]), sensors, 800)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Gramian contains non-finite"):
+                gramian_direct(model, 0b01)
 
     def test_entries_read_only(self, scenario1_model):
         for g in (
             gramian_direct(scenario1_model, 1),
             per_sensor_gramians(scenario1_model),
-            gramian._checked_gramians(np.array([np.eye(2)]), [1]),
         ):
             with pytest.raises(ValueError):
                 g[0, 0] = 5.0

@@ -83,6 +83,16 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="positive semidefinite"):
             evaluate(MIN_EIG, np.array([[[-1.0, 0.0], [0.0, 1.0]]]))
 
+    def test_indefinite_stack_error_names_the_lowest_eigenvalue(self):
+        stack = np.array([np.diag([-1.0, 1.0]), np.eye(2), np.diag([1.0, -3.0])])
+        expected = (
+            "Gramian is not positive semidefinite (minimum eigenvalue "
+            "-3.000000e+00)"
+        )
+        with pytest.raises(ValueError) as info:
+            evaluate(MIN_EIG, stack)
+        assert str(info.value) == expected
+
 
 class TestValueTable:
     def test_two_sensor_trace_table(self, scenario1_model):

@@ -101,6 +101,7 @@ class TestParseModelDocument:
             (lambda d: d["sensors"][0].pop("row"), "missing required field"),
             (lambda d: d["sensors"][0].update(name=""), "non-empty string"),
             (lambda d: d.update(name=7), "string"),
+            (lambda d: d.update(horizon_samples=10**400), "horizon_samples"),
         ],
     )
     def test_schema_violations(self, mutate, location):
