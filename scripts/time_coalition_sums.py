@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Time the coalition sums of the permutation sampler's prefix batches.
+
+For each sensor count p in 25, 40, 70 and 100, a seeded random model with
+n = 6 states and h = 10 samples (the sizes of perfbench's ``sampled-wide``
+workload) gets 100 seeded sensor orderings. Their distinct prefix coalitions
+are packed into bitmask words, as ``shapley_sampled`` values them. The script
+prints, per p, the median wall time of ``coalition_gramians`` (the sums alone)
+and of ``coalition_values(bank, MIN_EIGENVALUE, masks)`` (sums plus
+eigen-solves), and the sha256 of the values, so that two checkouts can be
+compared for speed and for identical bits.
+
+Run from the repository root:
+
+    PYTHONPATH=src python3 scripts/time_coalition_sums.py
+"""
+
+import hashlib
+import statistics
+import time
+
+import numpy as np
+
+from sensor_shapley import (
+    LtiModel,
+    Sensor,
+    ValueFunctionKind,
+    coalition_gramians,
+    coalition_values,
+    pack_masks,
+    per_sensor_gramians,
+)
+
+SENSOR_COUNTS = (25, 40, 70, 100)
+STATES, HORIZON, PERMUTATIONS, REPEATS = 6, 10, 100, 15
+
+
+def prefix_batch(p: int) -> tuple[np.ndarray, np.ndarray]:
+    # The bank of a seeded stable model and the distinct prefix coalitions
+    # of seeded orderings, as (k, w) uint64 words.
+    rng = np.random.default_rng(p)
+    a = rng.standard_normal((STATES, STATES))
+    a /= 1.1 * np.max(np.abs(np.linalg.eigvals(a)))
+    sensors = tuple(
+        Sensor(f"s{i}", rng.standard_normal(STATES)) for i in range(p)
+    )
+    bank = per_sensor_gramians(LtiModel(a, sensors, HORIZON))
+    orderings = rng.permuted(np.tile(np.arange(p), (PERMUTATIONS, 1)), axis=1)
+    singles = pack_masks(np.eye(p, dtype=bool))
+    prefixes = np.bitwise_or.accumulate(singles[orderings], axis=1)
+    return bank, np.unique(prefixes.reshape(-1, singles.shape[1]), axis=0)
+
+
+def median_ms(call) -> float:
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return 1e3 * statistics.median(times)
+
+
+def main() -> None:
+    kind = ValueFunctionKind.MIN_EIGENVALUE
+    for p in SENSOR_COUNTS:
+        bank, masks = prefix_batch(p)
+        sums = median_ms(lambda: coalition_gramians(bank, masks))
+        values_ms = median_ms(lambda: coalition_values(bank, kind, masks))
+        digest = hashlib.sha256(coalition_values(bank, kind, masks).tobytes())
+        print(
+            f"p={p:<4d} masks={len(masks):<6d} sums {sums:7.2f} ms  "
+            f"values {values_ms:7.2f} ms  sha256 {digest.hexdigest()}"
+        )
+
+
+if __name__ == "__main__":
+    main()

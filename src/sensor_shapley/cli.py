@@ -25,7 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .gramian import full_gramian, is_observable, per_sensor_gramians
+from .gramian import (
+    _eigenvalues,
+    _observable,
+    full_gramian,
+    is_observable,
+    per_sensor_gramians,
+)
 from .metrics import ValueFunctionKind, evaluate
 from .model import EnumerationCapExceeded
 from .report import (
@@ -188,10 +194,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     labels = ["full coalition"] + [f"sensor {s.name}" for s in model.sensors]
     bank = per_sensor_gramians(model)
     stack = np.concatenate([full_gramian(bank)[None], bank])
-    verdicts = is_observable(stack, args.tolerance)
-    min_eigs = evaluate(ValueFunctionKind.MIN_EIGENVALUE, stack)
+    # one eigen-solve gives the verdicts and the min-eig metric's values
+    eigs = _eigenvalues(stack)
+    verdicts = _observable(eigs, args.tolerance)
     traces = evaluate(ValueFunctionKind.TRACE, stack)
-    for label, ok, min_eig, trace in zip(labels, verdicts, min_eigs, traces):
+    for label, ok, min_eig, trace in zip(labels, verdicts, eigs[:, 0], traces):
         print(
             f"{label}: observable={'yes' if ok else 'no'}  "
             f"min_eigenvalue={min_eig:.10g}  trace={trace:.10g}"

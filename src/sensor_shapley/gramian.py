@@ -11,15 +11,19 @@ of the single-sensor Gramians of the members of S. That additivity is what
 makes coalition values cheap: the bank of per-sensor Gramians is built once
 (``per_sensor_gramians``, a ``(p, n, n)`` array) and the Gramians of any
 batch of coalitions are stacked n x n sums of bank members
-(``coalition_gramians``). The bank propagates A^k once and forms every
-sensor's block c_i A^k from it; ``gramian_direct`` keeps the definition-level
-construction, with its own power chain, as the independent cross-check. Every
-Gramian is a plain read-only array. Overflow is caught when the bank is built,
-naming the sensor. The PSD rule (``_min_eigenvalues``) runs on the bank, on
-``gramian_direct`` and in the min-eig ``evaluate``, which also catches
-non-finite coalition sums. Symmetry holds by construction: entries (i, j) and
-(j, i) are the same products added in the same order, so they are never
-checked or symmetrized.
+(``coalition_gramians``). A batch's sums start from a partial table over the
+lowest c sensors (2^c at most the batch size) and add each coalition's
+higher members in ascending index, the bits of adding members one at a
+time; the working set is at most twice the batch's output. The bank
+propagates A^k once and forms every sensor's block c_i A^k from it;
+``gramian_direct`` keeps the definition-level construction, with its own
+power chain, as the independent cross-check. Every Gramian is a plain
+read-only array. Overflow is caught when the bank is built, naming the
+sensor. The PSD rule (``_eigenvalues``) runs on the bank, on
+``gramian_direct``, in the min-eig ``evaluate``, which also catches
+non-finite coalition sums, and on the stack ``check`` prints. Symmetry holds
+by construction: entries (i, j) and (j, i) are the same products added in
+the same order, so they are never checked or symmetrized.
 
 The system is observable over the window iff the full-coalition Gramian is
 positive definite, i.e. its minimum eigenvalue is strictly positive.
@@ -56,11 +60,12 @@ def _members(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _min_eigenvalues(gramians: np.ndarray) -> np.ndarray:
-    # The minimum eigenvalue of each Gramian of an (n, n) matrix or (k, n, n)
-    # stack, under the one numerical contract on Gramians: entries are finite,
-    # and minimum eigenvalues below -max(PSD_RTOL * lambda_max, PSD_FLOOR) are
-    # rejected while those within that tolerance below zero are clamped to 0.
+def _eigenvalues(gramians: np.ndarray) -> np.ndarray:
+    # The ascending eigenvalues of each Gramian of an (n, n) matrix or
+    # (k, n, n) stack, under the one numerical contract on Gramians: entries
+    # are finite, and minimum eigenvalues below
+    # -max(PSD_RTOL * lambda_max, PSD_FLOOR) are rejected while those within
+    # that tolerance below zero are clamped to 0.
     if not np.all(np.isfinite(gramians)):
         raise ValueError("Gramian contains non-finite entries")
     eigs = np.linalg.eigvalsh(gramians)
@@ -73,7 +78,13 @@ def _min_eigenvalues(gramians: np.ndarray) -> np.ndarray:
         )
     # A rank-deficient Gramian reports exactly "unobservable", not a tiny
     # negative eigensolver residue; np.where keeps the sign of a -0.0.
-    return np.where(lo >= 0.0, lo, 0.0)
+    eigs[..., 0] = np.where(lo >= 0.0, lo, 0.0)
+    return eigs
+
+
+def _min_eigenvalues(gramians: np.ndarray) -> np.ndarray:
+    # The minimum eigenvalue of each Gramian under the contract of _eigenvalues.
+    return _eigenvalues(gramians)[..., 0].copy()
 
 
 def _coalition_rows(model: LtiModel, mask: int) -> np.ndarray:
@@ -182,8 +193,9 @@ def pack_masks(members: np.ndarray) -> np.ndarray:
 
 
 def _membership(masks, sensor_count: int) -> np.ndarray:
-    # (k, p) booleans from bitmasks: a (k,) integer array, or (k, w) uint64
-    # words with sensor i at bit i % 64 of word i // 64.
+    # (p, k) booleans, row i marking the coalitions that hold sensor i, from
+    # bitmasks: a (k,) integer array, or (k, w) uint64 words with sensor i at
+    # bit i % 64 of word i // 64.
     words = np.asarray(masks)
     if words.ndim == 1:
         words = words[:, None]
@@ -198,7 +210,18 @@ def _membership(masks, sensor_count: int) -> np.ndarray:
             f"coalition references sensor index {sensor_count + int(extra[0])} "
             f"but only {sensor_count} sensors exist"
         )
-    return bits[:, :sensor_count].astype(bool)
+    return np.ascontiguousarray(bits[:, :sensor_count].T, dtype=bool)
+
+
+def _low_table(bank: np.ndarray, c: int) -> np.ndarray:
+    # The 2^c Gramians over sensors 0..c-1, indexed by bitmask, by the
+    # highest-set-bit recursion W[2^i : 2^(i+1)] = W[:2^i] + G[i]: each entry
+    # is its members summed in ascending index from the zero matrix.
+    low = np.zeros((1 << c,) + bank.shape[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(c):
+            np.add(low[: 1 << i], bank[i], out=low[1 << i : 2 << i])
+    return low
 
 
 def coalition_gramians(bank: np.ndarray, masks) -> np.ndarray:
@@ -210,12 +233,20 @@ def coalition_gramians(bank: np.ndarray, masks) -> np.ndarray:
     members' bank entries in ascending sensor index, the same bits as adding
     them one at a time; the empty coalition yields the zero matrix, the
     well-defined no-sensor Gramian.
+
+    The sums start from a partial table over the lowest c sensors, with
+    2^c <= k, from which each coalition takes its low members' sum; its
+    higher members are then added in ascending index, so every entry gets
+    the same additions in the same order. The working set is at most twice
+    the output.
     """
     members = _membership(masks, bank.shape[0])
-    out = np.zeros((members.shape[0],) + bank.shape[1:])
+    p, k = members.shape
+    c = min(p, max(k, 1).bit_length() - 1)
+    out = _low_table(bank, c)[(1 << np.arange(c)) @ members[:c]]
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, gram in enumerate(bank):
-            out[members[:, i]] += gram
+        for i in range(c, p):
+            np.add(out, bank[i], out=out, where=members[i, :, None, None])
     return out
 
 
@@ -240,8 +271,13 @@ def is_observable(gramians: np.ndarray, tol: float | None = None):
     """
     if tol is not None and not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    eigs = np.linalg.eigvalsh(gramians)
+    verdict = _observable(np.linalg.eigvalsh(gramians), tol)
+    return bool(verdict) if verdict.ndim == 0 else verdict
+
+
+def _observable(eigs: np.ndarray, tol: float | None) -> np.ndarray:
+    # is_observable's verdicts from ascending eigenvalues. Clamping a minimum
+    # to 0 (see _eigenvalues) cannot change them, as tol is positive.
     if tol is None:
         tol = 1e-9 * np.maximum(1.0, eigs[..., -1])
-    verdict = eigs[..., 0] > tol
-    return bool(verdict) if verdict.ndim == 0 else verdict
+    return eigs[..., 0] > tol

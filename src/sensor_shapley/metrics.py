@@ -25,7 +25,12 @@ from enum import Enum
 
 import numpy as np
 
-from .gramian import _min_eigenvalues, coalition_gramians, per_sensor_gramians
+from .gramian import (
+    _low_table,
+    _min_eigenvalues,
+    coalition_gramians,
+    per_sensor_gramians,
+)
 from .model import LtiModel, require_enumerable
 
 __all__ = [
@@ -102,18 +107,15 @@ def coalition_values(
 
 
 def _table(bank: np.ndarray, kind: ValueFunctionKind, chunk: int) -> np.ndarray:
-    # All 2^p Gramians over the low c sensors (2^c <= chunk) by the
-    # highest-set-bit recursion W[2^i : 2^(i+1)] = W[:2^i] + G[i]; each chunk
-    # of 2^c masks then adds its high members in ascending order. Members are
+    # The 2^c Gramians over the low c sensors (2^c <= chunk), then each chunk
+    # of 2^c masks adds its high members in ascending order. Members are
     # summed in ascending sensor index, as in coalition_gramians, so the bits
     # match it.
     p = bank.shape[0]
     c = min(p, chunk.bit_length() - 1)
-    low = np.zeros((1 << c,) + bank.shape[1:])
+    low = _low_table(bank, c)
     table = np.empty(1 << p)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(c):
-            np.add(low[: 1 << i], bank[i], out=low[1 << i : 2 << i])
         for start in range(0, 1 << p, 1 << c):
             high = [i for i in range(c, p) if start >> i & 1]
             stack = low + bank[high[0]] if high else low

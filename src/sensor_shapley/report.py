@@ -73,6 +73,18 @@ def _schema_error(message: str, location: str) -> ModelDocumentError:
     return ModelDocumentError("schema", message, location)
 
 
+# Offending values are quoted in errors up to this many characters, so a large
+# array in a number's place does not become a line of kilobytes.
+_SHOWN_CHARS = 80
+
+
+def _shown(value: Any) -> str:
+    text = repr(value)
+    if len(text) <= _SHOWN_CHARS:
+        return text
+    return text[: _SHOWN_CHARS - 3] + "..."
+
+
 # json.loads yields this in place of an integer literal beyond the float range
 # (int() refuses those over 4300 digits), so the schema rejects it at its location.
 _TOO_LARGE = object()
@@ -96,7 +108,7 @@ def _number_row(value: Any, location: str) -> list[float]:
             raise _schema_error("number is too large for a float", f"{location}[{j}]")
         if not _is_number(entry):
             raise _schema_error(
-                f"expected a number, got {entry!r}", f"{location}[{j}]"
+                f"expected a number, got {_shown(entry)}", f"{location}[{j}]"
             )
         row.append(float(entry))
     return row
@@ -180,7 +192,7 @@ def parse_model_document(text: str) -> ModelDocument:
         raise _schema_error("integer is too large", "horizon_samples")
     if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
         raise _schema_error(
-            f"expected a positive integer, got {horizon!r}", "horizon_samples"
+            f"expected a positive integer, got {_shown(horizon)}", "horizon_samples"
         )
 
     try:

@@ -257,7 +257,9 @@ def shapley_sampled(
     metric on the bank itself. The per-ordering marginals telescope to the
     grand value, so the estimates sum to it up to accumulation rounding
     regardless of sample size. Results are bitwise reproducible for a fixed
-    (model, metric, num_permutations, seed).
+    (model, metric, num_permutations, seed). A sensor whose marginals sum
+    beyond the float range, before the division by the sample size, is
+    refused with a ``ValueError``.
     """
     if num_permutations < 1:
         raise ValueError(
@@ -277,7 +279,16 @@ def shapley_sampled(
 
     marginals = np.diff(prefix_values, axis=1, prepend=0.0)
     phi = np.zeros(p)
-    np.add.at(phi, orderings, marginals)
+    with np.errstate(over="ignore"):
+        np.add.at(phi, orderings, marginals)
+    overflowed = np.flatnonzero(~np.isfinite(phi))
+    if overflowed.size:
+        raise ValueError(
+            f"sampled Shapley estimate of sensor "
+            f"{model.sensors[overflowed[0]].name!r} overflows: its "
+            f"{num_permutations} marginal contributions sum beyond the float "
+            f"range"
+        )
     phi /= num_permutations
     method = AttributionMethod("permutation-sampling", num_permutations, seed)
     grand = prefix_values[0, -1]

@@ -3,6 +3,7 @@ import json
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sensor_shapley import cli, gramian, model, shapley
@@ -288,6 +289,38 @@ class TestAnalyzeErrors:
             f"{location}: {message}\n"
         )
 
+    NUMBER_ERROR = (
+        "sensor-shapley: error: model document schema error at "
+        "state_matrix[0][0]: expected a number, got "
+    )
+
+    @staticmethod
+    def first_entry_error(tmp_path, capsys, entry):
+        # the error for a JSON text in the first state_matrix entry
+        path = tmp_path / "model.json"
+        path.write_text(
+            f'{{"state_matrix": [[{entry}]], "sensors": [{{"name": "a", '
+            f'"row": [1]}}], "horizon_samples": 1}}',
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "analyze", "--model", str(path))
+        assert code == 2 and out == ""
+        return err
+
+    def test_short_offending_value_is_shown_whole(self, tmp_path, capsys):
+        err = self.first_entry_error(tmp_path, capsys, '[[1, "x"], null]')
+        assert err == self.NUMBER_ERROR + "[[1, 'x'], None]\n"
+
+    @pytest.mark.parametrize(
+        "entry",
+        [json.dumps([1.5] * 2000), "[" * 900 + "]" * 900],
+        ids=["2000-element list", "900-deep list"],
+    )
+    def test_large_offending_value_is_shown_cut_short(self, tmp_path, capsys, entry):
+        err = self.first_entry_error(tmp_path, capsys, entry)
+        assert err.startswith(self.NUMBER_ERROR + entry[:10])
+        assert err.endswith("...\n") and len(err) < 200
+
     def test_nesting_beyond_the_recursion_limit_is_a_syntax_error(
         self, tmp_path, capsys
     ):
@@ -410,6 +443,7 @@ class TestNearTheFloatRange:
     COMMANDS = [
         ("analyze", "--metric", "trace"),
         ("analyze", "--metric", "min-eig"),
+        ("analyze", "--sample", "1"),
         ("check",),
     ]
 
@@ -442,7 +476,43 @@ class TestNearTheFloatRange:
         assert err == "sensor-shapley: error: Gramian contains non-finite entries\n"
 
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("row, sample", [([3e153], "100"), ([1e154], "7")])
+    def test_sampled_sum_beyond_the_float_range_is_refused(
+        self, tmp_path, capsys, fmt, row, sample
+    ):
+        # v = 9e306 or 1e308: the marginals summed before dividing overflow
+        path = self.model(tmp_path, [row])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "analyze", "--model", path, "--sample", sample,
+                "--format", fmt,
+            )
+        assert code == 2 and out == ""
+        assert err == (
+            f"sensor-shapley: error: sampled Shapley estimate of sensor 's0' "
+            f"overflows: its {sample} marginal contributions sum beyond the "
+            f"float range\n"
+        )
+
+
 class TestCheck:
+    def test_one_eigen_solve_for_verdicts_and_min_eigenvalues(
+        self, capsys, monkeypatch
+    ):
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        code, _, _ = run(capsys, "check", "--scenario", "2")
+        assert code == 0
+        assert calls == [(4, 3, 3), (5, 3, 3)]  # the bank, then the lines
+
     def test_complementary_pair(self, capsys):
         code, out, _ = run(capsys, "check", "--scenario", "1")
         assert code == 0

@@ -217,6 +217,45 @@ class TestCoalitionGramian:
                         acc += bank[i]
                 assert stack[mask].tobytes() == acc.tobytes()
 
+    @staticmethod
+    def ascending_sums(bank, members):
+        # members added one at a time in ascending index, one row per mask
+        sums = np.zeros((len(members),) + bank.shape[1:])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for acc, row in zip(sums, members):
+                for i in np.flatnonzero(row):
+                    acc += bank[i]
+        return sums
+
+    @pytest.mark.parametrize("p, k", [(5, 12), (13, 300), (40, 500), (70, 200)])
+    def test_partial_batches_match_ascending_member_sums_bit_for_bit(self, p, k):
+        # k < 2^p, so the sums start from a table over fewer than p sensors
+        # and add the higher members on top
+        rng = np.random.default_rng(p)
+        sensors = tuple(Sensor(f"s{i}", rng.uniform(-2, 2, 3)) for i in range(p))
+        bank = per_sensor_gramians(LtiModel(rng.uniform(-1, 1, (3, 3)), sensors, 6))
+        members = rng.random((k, p)) < rng.uniform(0.1, 0.9, (k, 1))
+        got = coalition_gramians(bank, pack_masks(members))
+        assert got.tobytes() == self.ascending_sums(bank, members).tobytes()
+
+    def test_single_mask_batch_matches_ascending_member_sums_bit_for_bit(self):
+        bank = per_sensor_gramians(gramian_corpus(1, seed=4545)[0])
+        p = len(bank)
+        for mask in (0, 1, (1 << p) - 1, 1 << (p - 1)):
+            members = (mask >> np.arange(p) & 1).astype(bool)[None]
+            got = coalition_gramians(bank, np.array([mask]))
+            assert got.tobytes() == self.ascending_sums(bank, members).tobytes()
+
+    def test_non_finite_sums_match_ascending_member_sums_bit_for_bit(self):
+        bank = np.array([[[1e308]], [[1e308]], [[-np.inf]]])  # inf, -inf, nan
+        masks = np.arange(1, 8)  # 7 masks: a table over sensors 0 and 1
+        members = (masks[:, None] >> np.arange(3) & 1).astype(bool)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = coalition_gramians(bank, masks)
+        assert got.tobytes() == self.ascending_sums(bank, members).tobytes()
+        assert np.isnan(got[6, 0, 0]) and got[3, 0, 0] == -np.inf
+
     def test_full_gramian_matches_the_all_members_mask_bit_for_bit(self):
         banks = [per_sensor_gramians(m) for m in gramian_corpus(20, seed=4343)]
         banks.append(np.array([[[1e308]], [[1e308]], [[-np.inf]]]))  # inf, nan
