@@ -38,7 +38,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .model import LtiModel
+from .model import LtiModel, _shown
 
 __all__ = [
     "coalition_gramians",
@@ -80,11 +80,6 @@ def _eigenvalues(gramians: np.ndarray) -> np.ndarray:
     # negative eigensolver residue; np.where keeps the sign of a -0.0.
     eigs[..., 0] = np.where(lo >= 0.0, lo, 0.0)
     return eigs
-
-
-def _min_eigenvalues(gramians: np.ndarray) -> np.ndarray:
-    # The minimum eigenvalue of each Gramian under the contract of _eigenvalues.
-    return _eigenvalues(gramians)[..., 0].copy()
 
 
 def _coalition_rows(model: LtiModel, mask: int) -> np.ndarray:
@@ -144,7 +139,7 @@ def gramian_direct(model: LtiModel, mask: int) -> np.ndarray:
     instead (see ``coalition_gramians``).
     """
     gram = _direct_sum(model, mask)
-    _min_eigenvalues(gram)
+    _eigenvalues(gram)
     gram.setflags(write=False)
     return gram
 
@@ -172,11 +167,11 @@ def per_sensor_gramians(model: LtiModel) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(bank).all(axis=(1, 2)))
     if bad.size:
         raise ValueError(
-            f"Gramian of sensor {model.sensors[bad[0]].name!r} overflows to "
+            f"Gramian of sensor {_shown(model.sensors[bad[0]].name)} overflows to "
             f"non-finite values over {h} samples: the dynamics grow too fast "
             f"for this horizon"
         )
-    _min_eigenvalues(bank)
+    _eigenvalues(bank)
     bank.setflags(write=False)
     return bank
 
@@ -240,10 +235,12 @@ def coalition_gramians(bank: np.ndarray, masks) -> np.ndarray:
     the same additions in the same order. The working set is at most twice
     the output.
     """
-    members = _membership(masks, bank.shape[0])
+    words = np.asarray(masks)
+    members = _membership(words, bank.shape[0])
     p, k = members.shape
     c = min(p, max(k, 1).bit_length() - 1)
-    out = _low_table(bank, c)[(1 << np.arange(c)) @ members[:c]]
+    low = words if words.ndim == 1 else words[:, 0]
+    out = _low_table(bank, c)[low & ((1 << c) - 1)]
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(c, p):
             np.add(out, bank[i], out=out, where=members[i, :, None, None])

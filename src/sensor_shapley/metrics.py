@@ -26,8 +26,8 @@ from enum import Enum
 import numpy as np
 
 from .gramian import (
+    _eigenvalues,
     _low_table,
-    _min_eigenvalues,
     coalition_gramians,
     per_sensor_gramians,
 )
@@ -70,17 +70,23 @@ def evaluate(kind: ValueFunctionKind, gramians: np.ndarray) -> np.ndarray:
     """Scalar observability degree of each Gramian in a ``(k, n, n)`` stack.
 
     Returns one value per Gramian (a 0-d array for a single ``(n, n)``
-    input). Non-finite Gramians and minimum eigenvalues below
-    -max(PSD_RTOL * lambda_max, PSD_FLOOR) are rejected; minimum eigenvalues
-    within that tolerance below zero are clamped to 0, so the zero Gramian
-    (empty coalition) evaluates to exactly 0 for every metric.
+    input). Non-finite Gramians, traces beyond the float range and minimum
+    eigenvalues below -max(PSD_RTOL * lambda_max, PSD_FLOOR) are rejected;
+    minimum eigenvalues within that tolerance below zero are clamped to 0, so
+    the zero Gramian (empty coalition) evaluates to exactly 0 for every metric.
     """
     if kind is ValueFunctionKind.MIN_EIGENVALUE:
-        return _min_eigenvalues(gramians)
+        return _eigenvalues(gramians)[..., 0].copy()
     if not np.all(np.isfinite(gramians)):
         raise ValueError("Gramian contains non-finite entries")
     if kind is ValueFunctionKind.TRACE:
-        return np.trace(gramians, axis1=-2, axis2=-1)
+        with np.errstate(over="ignore"):
+            traces = np.trace(gramians, axis1=-2, axis2=-1)
+        if not np.all(np.isfinite(traces)):
+            raise ValueError(
+                "Gramian trace overflows: its diagonal sums beyond the float range"
+            )
+        return traces
     raise ValueError(f"no evaluator registered for {kind!r}")
 
 

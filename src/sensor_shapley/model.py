@@ -53,6 +53,19 @@ class InvalidModel(ValueError):
         super().__init__("invalid model: " + "; ".join(violations))
 
 
+# Offending values and sensor names are quoted in errors up to this many
+# characters, so a large array or a long name does not become a line of
+# kilobytes.
+_SHOWN_CHARS = 80
+
+
+def _shown(value) -> str:
+    text = repr(value)
+    if len(text) <= _SHOWN_CHARS:
+        return text
+    return text[: _SHOWN_CHARS - 3] + "..."
+
+
 def _as_readonly_float_array(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
     arr.setflags(write=False)
@@ -145,7 +158,9 @@ def validate_model(model: LtiModel) -> ValidationResult:
         if not isinstance(sensor.name, str) or not sensor.name:
             violations.append(f"{label}.name: must be a non-empty string")
         elif sensor.name in seen:
-            violations.append(f"{label}.name: duplicate sensor name {sensor.name!r}")
+            violations.append(
+                f"{label}.name: duplicate sensor name {_shown(sensor.name)}"
+            )
         else:
             seen.add(sensor.name)
         row = sensor.row

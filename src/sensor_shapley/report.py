@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from .model import InvalidModel, LtiModel, Sensor
+from .model import InvalidModel, LtiModel, Sensor, _shown
 from .shapley import AttributionResult, AxiomReport
 
 __all__ = [
@@ -73,16 +73,15 @@ def _schema_error(message: str, location: str) -> ModelDocumentError:
     return ModelDocumentError("schema", message, location)
 
 
-# Offending values are quoted in errors up to this many characters, so a large
-# array in a number's place does not become a line of kilobytes.
-_SHOWN_CHARS = 80
-
-
-def _shown(value: Any) -> str:
-    text = repr(value)
-    if len(text) <= _SHOWN_CHARS:
-        return text
-    return text[: _SHOWN_CHARS - 3] + "..."
+def _check_fields(data: dict, allowed: set, required: set, location: str) -> None:
+    unknown = set(data) - allowed
+    if unknown:
+        raise _schema_error(f"unknown field(s): {', '.join(sorted(unknown))}", location)
+    missing = required - set(data)
+    if missing:
+        raise _schema_error(
+            f"missing required field(s): {', '.join(sorted(missing))}", location
+        )
 
 
 # json.loads yields this in place of an integer literal beyond the float range
@@ -133,16 +132,7 @@ def parse_model_document(text: str) -> ModelDocument:
 
     if not isinstance(data, dict):
         raise _schema_error("expected a JSON object", "document")
-    unknown = set(data) - _DOCUMENT_FIELDS
-    if unknown:
-        raise _schema_error(
-            f"unknown field(s): {', '.join(sorted(unknown))}", "document"
-        )
-    missing = _REQUIRED_FIELDS - set(data)
-    if missing:
-        raise _schema_error(
-            f"missing required field(s): {', '.join(sorted(missing))}", "document"
-        )
+    _check_fields(data, _DOCUMENT_FIELDS, _REQUIRED_FIELDS, "document")
 
     name = data.get("name")
     if name is not None and not isinstance(name, str):
@@ -170,17 +160,7 @@ def parse_model_document(text: str) -> ModelDocument:
         location = f"sensors[{i}]"
         if not isinstance(raw, dict):
             raise _schema_error("expected a sensor object", location)
-        unknown = set(raw) - _SENSOR_FIELDS
-        if unknown:
-            raise _schema_error(
-                f"unknown field(s): {', '.join(sorted(unknown))}", location
-            )
-        if _SENSOR_FIELDS - set(raw):
-            raise _schema_error(
-                f"missing required field(s): "
-                f"{', '.join(sorted(_SENSOR_FIELDS - set(raw)))}",
-                location,
-            )
+        _check_fields(raw, _SENSOR_FIELDS, _SENSOR_FIELDS, location)
         if not isinstance(raw["name"], str) or not raw["name"]:
             raise _schema_error("expected a non-empty string", f"{location}.name")
         sensors.append(

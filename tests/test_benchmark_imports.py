@@ -1,12 +1,13 @@
-"""The benchmark in perfbench/ imports names from the package; a change that
-removes one of them breaks the benchmark without failing any other test."""
+"""The benchmark in perfbench/ and the scripts in scripts/ import names from
+the package; a change that removes one of them breaks the benchmark or a
+script without failing any other test."""
 
 import importlib
 import importlib.util
 import re
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
 
 # `from sensor_shapley[.module] import a, b` or `import (a,\n b)`, anywhere in
 # the text, so imports inside code strings run by a child process count too
@@ -15,12 +16,12 @@ IMPORT = re.compile(r"from (sensor_shapley(?:\.\w+)*) import (\([^)]*\)|[\w ,]+)
 
 def benchmark_imports():
     found = []
-    for path in sorted(PERFBENCH.glob("*.py")):
+    for path in sorted([*ROOT.glob("perfbench/*.py"), *ROOT.glob("scripts/*.py")]):
         for module, names in IMPORT.findall(path.read_text(encoding="utf-8")):
             for name in names.strip("()").split(","):
                 name = name.split(" as ")[0].strip()
                 if name:
-                    found.append((path.name, module, name))
+                    found.append((path.relative_to(ROOT), module, name))
     return found
 
 
@@ -35,7 +36,7 @@ def resolves(module, name):
 
 def test_every_name_the_benchmark_imports_resolves():
     found = benchmark_imports()
-    assert found, "no package import found in perfbench/*.py"
+    assert found, "no package import found in perfbench/*.py or scripts/*.py"
     missing = [
         f"{path}: from {module} import {name}"
         for path, module, name in found

@@ -496,6 +496,105 @@ class TestNearTheFloatRange:
             f"float range\n"
         )
 
+    # one sensor [1e154, 1e154] on the 2x2 identity: every Gramian entry is
+    # 1e308, finite, but the diagonal sums to 2e308
+    TRACE_OVERFLOW = {
+        "state_matrix": [[1.0, 0.0], [0.0, 1.0]],
+        "sensors": [{"name": "s0", "row": [1e154, 1e154]}],
+        "horizon_samples": 1,
+    }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--metric", "trace"),
+            ("analyze", "--metric", "trace", "--format", "json"),
+            ("analyze", "--metric", "trace", "--sample", "3"),
+            ("check",),
+        ],
+    )
+    def test_trace_beyond_the_float_range_is_refused(self, tmp_path, capsys, argv):
+        path = write_model(tmp_path, self.TRACE_OVERFLOW)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv, "--model", path)
+        assert code == 2 and out == ""
+        assert err == (
+            "sensor-shapley: error: Gramian trace overflows: its diagonal sums "
+            "beyond the float range\n"
+        )
+
+    def test_min_eig_of_a_trace_beyond_the_float_range_is_reported(
+        self, tmp_path, capsys
+    ):
+        path = write_model(tmp_path, self.TRACE_OVERFLOW)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "analyze", "--metric", "min-eig", "--model", path
+            )
+        assert code == 0 and err == ""
+        assert out == (
+            "model: model    metric: min-eig    horizon samples: 1    method: exact\n"
+            "\n"
+            "Sensor  Value Function  Standalone Value  Shapley Value\n"
+            "------  --------------  ----------------  -------------\n"
+            "s0      min-eig         0                 0\n"
+            "\n"
+            "grand value:         0\n"
+            "efficiency residual: 0\n"
+            "fully observable:    no\n"
+            "axioms:              pass (symmetric pairs: none; dummy sensors: s0)\n"
+        )
+
+
+class TestLongSensorNames:
+    NAME = "n" * 5000
+
+    @pytest.mark.parametrize(
+        "state_matrix, rows, horizon, argv, message",
+        [
+            ([[1.0]], [[1.0], [2.0]], 1, ("check",), "duplicate sensor name"),
+            ([[3.0]], [[1.0]], 800, ("check",), "overflows to non-finite values"),
+            (
+                [[1.0]],
+                [[3e153]],
+                1,
+                ("analyze", "--sample", "100"),
+                "sampled Shapley estimate",
+            ),
+        ],
+        ids=["duplicate", "bank-overflow", "sampled-overflow"],
+    )
+    def test_error_quotes_a_long_name_cut_short(
+        self, tmp_path, capsys, state_matrix, rows, horizon, argv, message
+    ):
+        sensors = [{"name": self.NAME, "row": row} for row in rows]
+        payload = {
+            "state_matrix": state_matrix,
+            "sensors": sensors,
+            "horizon_samples": horizon,
+        }
+        path = write_model(tmp_path, payload)
+        code, out, err = run(capsys, *argv, "--model", path)
+        assert code == 2 and out == ""
+        # the message after the CLI's fixed prefix, one line of the fixed
+        # text and the name cut to 80 characters with its quotes
+        text = err.removeprefix("sensor-shapley: error: ")
+        assert message in text and f"'{self.NAME[:76]}..." in text
+        assert text.count("\n") == 1 and len(text) < 200
+
+    def test_name_of_80_characters_is_quoted_whole(self, tmp_path, capsys):
+        name = "n" * 78  # 80 characters with its quotes
+        payload = {
+            "state_matrix": [[1.0]],
+            "sensors": [{"name": name, "row": [1.0]}, {"name": name, "row": [2.0]}],
+            "horizon_samples": 1,
+        }
+        code, out, err = run(capsys, "check", "--model", write_model(tmp_path, payload))
+        assert code == 2 and out == ""
+        assert err.endswith(f"duplicate sensor name '{name}'\n")
+
 
 class TestCheck:
     def test_one_eigen_solve_for_verdicts_and_min_eigenvalues(

@@ -64,6 +64,12 @@ class TestValidateModel:
         )
         assert any("duplicate" in v for v in violations)
 
+    def test_sensor_row_must_be_a_vector(self):
+        violations = violations_of(
+            [[1.0, 0.0], [0.0, 1.0]], (Sensor("a", [[1.0, 0.0]]),), 5
+        )
+        assert violations == ("sensors[0].row: expected a vector, got shape (1, 2)",)
+
     def test_empty_sensor_name(self):
         violations = violations_of([[1.0]], (Sensor("", [1.0]),), 5)
         assert any("non-empty string" in v for v in violations)

@@ -102,6 +102,18 @@ class TestParseModelDocument:
             (lambda d: d["sensors"][0].update(name=""), "non-empty string"),
             (lambda d: d.update(name=7), "string"),
             (lambda d: d.update(horizon_samples=10**400), "horizon_samples"),
+            (
+                lambda d: d.update(sensors={}),
+                r"at sensors: expected an array of sensor objects$",
+            ),
+            (
+                lambda d: d["sensors"].__setitem__(0, [1.0, 1.0]),
+                r"at sensors\[0\]: expected a sensor object$",
+            ),
+            (
+                lambda d: d["sensors"][0].update(row=[]),
+                r"at sensors\[0\]\.row: expected a non-empty array of numbers$",
+            ),
         ],
     )
     def test_schema_violations(self, mutate, location):
@@ -110,6 +122,14 @@ class TestParseModelDocument:
         with pytest.raises(ModelDocumentError, match=location) as exc:
             parse_model_document(json.dumps(payload))
         assert exc.value.kind == "schema"
+
+    def test_document_must_be_an_object(self):
+        with pytest.raises(ModelDocumentError) as exc:
+            parse_model_document(json.dumps([valid_payload()]))
+        assert exc.value.kind == "schema"
+        assert str(exc.value) == (
+            "model document schema error at document: expected a JSON object"
+        )
 
     def test_cross_field_mismatch_is_validation_error(self):
         payload = valid_payload()

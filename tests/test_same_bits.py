@@ -1,0 +1,33 @@
+"""Every invocation of the same-bits corpus keeps the exit code, stdout and
+stderr recorded in the manifest (see scripts/same_bits_corpus.py)."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "same_bits_corpus.py"
+
+
+def load_corpus():
+    spec = importlib.util.spec_from_file_location("same_bits_corpus", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_invocation_keeps_its_bits(tmp_path):
+    corpus = load_corpus()
+    recorded = corpus.MANIFEST.read_text(encoding="utf-8").splitlines()
+    header = [line for line in recorded if line.startswith("#")]
+    assert header == corpus.header(), (
+        f"the manifest was taken with {header[1:]} but this run has "
+        f"{corpus.header()[1:]}; rewrite it with scripts/same_bits_corpus.py "
+        f"on the parent commit before comparing"
+    )
+    expected = {line.split()[0]: line for line in recorded if line not in header}
+    actual = {line.split()[0]: line for line in corpus.manifest_lines(tmp_path)}
+    changed = [run_id for run_id in actual if actual[run_id] != expected.get(run_id)]
+    missing = [run_id for run_id in expected if run_id not in actual]
+    assert not changed and not missing, (
+        f"changed: {', '.join(changed) or 'none'}; "
+        f"no longer run: {', '.join(missing) or 'none'}"
+    )
