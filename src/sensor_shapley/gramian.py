@@ -227,7 +227,10 @@ def coalition_gramians(bank: np.ndarray, masks) -> np.ndarray:
     ``pack_masks`` (any sensor count). Each Gramian is the sum of its
     members' bank entries in ascending sensor index, the same bits as adding
     them one at a time; the empty coalition yields the zero matrix, the
-    well-defined no-sensor Gramian.
+    well-defined no-sensor Gramian. The sums are entry by entry, so any
+    ``(p, ...)`` per-sensor array sums the same way: a bank of full Gramians,
+    or of the entries a metric reads, such as their ``(p, n)`` diagonals,
+    which gives the ``(k, n)`` diagonals of the coalition Gramians.
 
     The sums start from a partial table over the lowest c sensors, with
     2^c <= k, from which each coalition takes its low members' sum; its
@@ -241,9 +244,10 @@ def coalition_gramians(bank: np.ndarray, masks) -> np.ndarray:
     c = min(p, max(k, 1).bit_length() - 1)
     low = words if words.ndim == 1 else words[:, 0]
     out = _low_table(bank, c)[low & ((1 << c) - 1)]
+    entry = (1,) * (bank.ndim - 1)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(c, p):
-            np.add(out, bank[i], out=out, where=members[i, :, None, None])
+            np.add(out, bank[i], out=out, where=members[i].reshape(-1, *entry))
     return out
 
 

@@ -12,11 +12,14 @@ Two metrics ship:
 The log-determinant is deliberately not offered: coalitions that lose
 observability have singular Gramians, where it is undefined.
 
-Every metric is evaluated on a stack of Gramians at once (``evaluate``);
-the exact value table, the sampler's prefix coalitions and the lines of
-``check`` all go through it. The value of the empty coalition is 0 for
-both metrics: the empty energy sum for the trace, and the PSD floor for the
-minimum eigenvalue.
+Each metric names what it reads of a Gramian: the trace its diagonal, the
+minimum eigenvalue the whole matrix. ``evaluate`` reduces a stack of
+Gramians to those entries and finishes the metric on them. Coalition sums
+add entry by entry, so the exact value table and the sampler's prefix
+coalitions reduce the per-sensor bank first and sum only what is read: the
+``(p, n)`` diagonals for the trace, the ``(p, n, n)`` bank for min-eig. The
+value of the empty coalition is 0 for both metrics: the empty energy sum for
+the trace, and the PSD floor for the minimum eigenvalue.
 """
 
 from __future__ import annotations
@@ -40,8 +43,9 @@ __all__ = [
     "value_table",
 ]
 
-# The coalition Gramians are stacked and evaluated in chunks of about this
-# many bytes, so a table's peak memory does not grow with 2^p.
+# Coalitions are valued in chunks of about this many bytes of Gramians, so a
+# table's peak memory does not grow with 2^p; the trace's chunks hold only
+# the diagonals, 1/n of that.
 _CHUNK_BYTES = 1 << 24
 
 
@@ -70,24 +74,41 @@ def evaluate(kind: ValueFunctionKind, gramians: np.ndarray) -> np.ndarray:
     """Scalar observability degree of each Gramian in a ``(k, n, n)`` stack.
 
     Returns one value per Gramian (a 0-d array for a single ``(n, n)``
-    input). Non-finite Gramians, traces beyond the float range and minimum
-    eigenvalues below -max(PSD_RTOL * lambda_max, PSD_FLOOR) are rejected;
-    minimum eigenvalues within that tolerance below zero are clamped to 0, so
-    the zero Gramian (empty coalition) evaluates to exactly 0 for every metric.
+    input). Non-finite entries the metric reads, traces beyond the float
+    range and minimum eigenvalues below -max(PSD_RTOL * lambda_max,
+    PSD_FLOOR) are rejected; minimum eigenvalues within that tolerance below
+    zero are clamped to 0, so the zero Gramian (empty coalition) evaluates to
+    exactly 0 for every metric.
     """
-    if kind is ValueFunctionKind.MIN_EIGENVALUE:
-        return _eigenvalues(gramians)[..., 0].copy()
-    if not np.all(np.isfinite(gramians)):
-        raise ValueError("Gramian contains non-finite entries")
+    return _finish(kind, _reduce(kind, gramians))
+
+
+def _reduce(kind: ValueFunctionKind, gramians: np.ndarray) -> np.ndarray:
+    # The entries of each Gramian the metric reads: the diagonal for the
+    # trace, the whole matrix for the minimum eigenvalue.
     if kind is ValueFunctionKind.TRACE:
-        with np.errstate(over="ignore"):
-            traces = np.trace(gramians, axis1=-2, axis2=-1)
-        if not np.all(np.isfinite(traces)):
-            raise ValueError(
-                "Gramian trace overflows: its diagonal sums beyond the float range"
-            )
-        return traces
+        return np.diagonal(gramians, axis1=-2, axis2=-1)
+    if kind is ValueFunctionKind.MIN_EIGENVALUE:
+        return gramians
     raise ValueError(f"no evaluator registered for {kind!r}")
+
+
+def _finish(kind: ValueFunctionKind, entries: np.ndarray) -> np.ndarray:
+    # The metric of each reduced Gramian. np.trace is the diagonal's sum
+    # over its last axis, so the trace keeps its bits. A diagonal of PSD
+    # sums bounds every off-diagonal entry (|W_ij| <= sqrt(W_ii W_jj)), so
+    # checking it alone still catches a non-finite sum.
+    if kind is ValueFunctionKind.MIN_EIGENVALUE:
+        return _eigenvalues(entries)[..., 0].copy()
+    if not np.all(np.isfinite(entries)):
+        raise ValueError("Gramian contains non-finite entries")
+    with np.errstate(over="ignore"):
+        traces = entries.sum(-1)
+    if not np.all(np.isfinite(traces)):
+        raise ValueError(
+            "Gramian trace overflows: its diagonal sums beyond the float range"
+        )
+    return traces
 
 
 def coalition_values(
@@ -99,35 +120,39 @@ def coalition_values(
     :func:`~sensor_shapley.gramian.coalition_gramians`. Without ``masks``,
     every one of the 2^p coalitions is valued and the result is the
     read-only table indexed by bitmask, with the empty coalition at exactly
-    0. Gramians are stacked and evaluated in chunks of bounded memory.
+    0. Only the bank entries the metric reads are summed (the diagonals for
+    the trace), in chunks of bounded memory.
     """
     n = bank.shape[-1]
     chunk = max(1, _CHUNK_BYTES // (8 * n * n))
+    reduced = _reduce(kind, bank)
     if masks is None:
-        return _table(bank, kind, chunk)
+        return _table(reduced, kind, chunk)
     values = np.empty(len(masks))
     for start in range(0, len(masks), chunk):
         batch = masks[start : start + chunk]
-        values[start : start + chunk] = evaluate(kind, coalition_gramians(bank, batch))
+        values[start : start + chunk] = _finish(
+            kind, coalition_gramians(reduced, batch)
+        )
     return values
 
 
-def _table(bank: np.ndarray, kind: ValueFunctionKind, chunk: int) -> np.ndarray:
-    # The 2^c Gramians over the low c sensors (2^c <= chunk), then each chunk
-    # of 2^c masks adds its high members in ascending order. Members are
-    # summed in ascending sensor index, as in coalition_gramians, so the bits
-    # match it.
-    p = bank.shape[0]
+def _table(reduced: np.ndarray, kind: ValueFunctionKind, chunk: int) -> np.ndarray:
+    # The 2^c sums over the low c sensors (2^c <= chunk), then each chunk of
+    # 2^c masks adds its high members in ascending order. Members are summed
+    # in ascending sensor index, as in coalition_gramians, so the bits match
+    # it.
+    p = reduced.shape[0]
     c = min(p, chunk.bit_length() - 1)
-    low = _low_table(bank, c)
+    low = _low_table(reduced, c)
     table = np.empty(1 << p)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, 1 << p, 1 << c):
             high = [i for i in range(c, p) if start >> i & 1]
-            stack = low + bank[high[0]] if high else low
+            stack = low + reduced[high[0]] if high else low
             for i in high[1:]:
-                stack += bank[i]
-            table[start : start + (1 << c)] = evaluate(kind, stack)
+                stack += reduced[i]
+            table[start : start + (1 << c)] = _finish(kind, stack)
     table[0] = 0.0
     table.setflags(write=False)
     return table
@@ -138,8 +163,9 @@ def value_table(model: LtiModel, kind: ValueFunctionKind) -> np.ndarray:
 
     Returns the 2^p values indexed by membership bitmask (bit i set means
     sensor i is a member). The coalition Gramians are sums of the per-sensor
-    bank, so the model's dynamics are only propagated p times regardless of
-    how many coalitions exist. Sensor counts above ``ENUMERATION_CAP`` raise
+    bank, which one power chain of h state-matrix products builds, so the
+    dynamics are propagated once however many coalitions exist. Sensor
+    counts above ``ENUMERATION_CAP`` raise
     :class:`~sensor_shapley.model.EnumerationCapExceeded`.
     """
     require_enumerable(model)

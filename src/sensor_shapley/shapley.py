@@ -57,6 +57,9 @@ ORACLE_MAX_SENSORS = 8
 AXIOM_EXHAUSTIVE_MAX_SENSORS = 12
 AXIOM_SAMPLE_SIZE = 4096
 _AXIOM_SAMPLE_SEED = 20_240_915
+# Each candidate symmetric pair or dummy is screened on about this many of
+# its coalitions before all of them are read.
+_SCREEN = 4
 
 EFFICIENCY_RTOL = 1e-6
 
@@ -125,19 +128,25 @@ def shapley_from_table(values_by_bitmask: np.ndarray, sensor_count: int) -> np.n
             f"expected {1 << sensor_count} coalition values, got {values.shape}"
         )
     # The coalition-size weights w(s) = s! (p-s-1)! / p!, evaluated as
-    # 1 / (p * C(p-1, s)) so every intermediate integer is exact in a float;
-    # size p gets 0, as the full coalition never lacks a sensor.
+    # 1 / (p * C(p-1, s)) so every intermediate integer is exact in a float.
     p = sensor_count
-    weights = np.array([1.0 / (p * math.comb(p - 1, s)) for s in range(p)] + [0.0])
-    mask_weights = weights[np.bitwise_count(np.arange(1 << p))]
+    weights = np.array([1.0 / (p * math.comb(p - 1, s)) for s in range(p)])
+    # The coalitions without sensor i, in ascending order, are the masks
+    # r = 0 .. 2^(p-1) - 1 with a zero bit inserted at i, which keeps their
+    # size, so every sensor's weight operand is w(|r|). The sizes are bytes
+    # built by subset doubling: bit i adds a member to the first 2^i masks.
+    sizes = np.zeros((1 << p) >> 1, dtype=np.uint8)
+    for i in range(p - 1):
+        np.add(sizes[: 1 << i], 1, out=sizes[1 << i : 2 << i])
+    weighted = weights[sizes]
+    marginals = np.empty_like(weighted)
     phi = np.empty(p)
     for i in range(p):
         # Split at bit i: [:, 0] holds the coalitions without sensor i in
-        # ascending order, [:, 1] the same ones with it; both dot operands copy.
-        shape = (-1, 2, 1 << i)
-        halves = values.reshape(shape)
-        marginals = (halves[:, 1] - halves[:, 0]).ravel()
-        phi[i] = np.dot(mask_weights.reshape(shape)[:, 0].ravel(), marginals)
+        # ascending order, [:, 1] the same ones with it.
+        halves = values.reshape(-1, 2, 1 << i)
+        np.subtract(halves[:, 1], halves[:, 0], out=marginals.reshape(-1, 1 << i))
+        phi[i] = np.dot(weighted, marginals)
     return phi
 
 
@@ -344,12 +353,21 @@ class AxiomReport:
         )
 
 
-def _agreeing(values, first, second, bases, skip=False) -> np.ndarray:
-    # Row r: v(S | first[r]) and v(S | second[r]) agree for every unskipped S.
-    a = values[bases | first[:, None]]
-    b = values[bases | second[:, None]]
-    tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-    return np.all((np.abs(a - b) <= tol) | skip, axis=1)
+def _agreeing(values, first, second, tested) -> np.ndarray:
+    # Row r: v(S | first[r]) and v(S | second[r]) agree for every unskipped S
+    # of (bases, skip) = tested(rows, screen). The screen's few coalitions
+    # are read for every row, then all of them for the rows that agree on
+    # the few; a disagreement among the few is one among all.
+    agreeing = np.ones(len(first), dtype=bool)
+    rows = slice(None)
+    for screen in (True, False):
+        bases, skip = tested(rows, screen)
+        a = values[bases | first[rows, None]]
+        b = values[bases | second[rows, None]]
+        tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        agreeing[rows] = np.all((np.abs(a - b) <= tol) | skip, axis=1)
+        rows = np.flatnonzero(agreeing)
+    return agreeing
 
 
 def verify_axioms(result: AttributionResult) -> AxiomReport:
@@ -358,9 +376,13 @@ def verify_axioms(result: AttributionResult) -> AxiomReport:
     The coalition values are the table the exact result carries. Symmetric
     pairs are sensors j, k whose additions are interchangeable for every
     tested coalition containing neither; dummies are sensors whose addition
-    never changes any tested coalition's value. Detected pairs must have
-    equal Shapley values and detected dummies must have Shapley value zero,
-    both within 1e-6. Failures are reported, not raised.
+    never changes any tested coalition's value. Each candidate is screened
+    on a few of its coalitions first, the largest masks (where min-eig
+    values are non-zero) or the first ones of the sampled pool, and only
+    the candidates that pass are confirmed on all of them; the verdicts are
+    those of testing every coalition. Detected pairs must have equal
+    Shapley values and detected dummies must have Shapley value zero, both
+    within 1e-6. Failures are reported, not raised.
     """
     values = result.values_by_bitmask
     if result.method.kind != "exact" or values is None:
@@ -378,25 +400,32 @@ def verify_axioms(result: AttributionResult) -> AxiomReport:
     j, k = np.triu_indices(p, 1)
     checks = [(1 << j, 1 << k), (1 << np.arange(p), np.zeros(p, dtype=np.int64))]
     exhaustive = p <= AXIOM_EXHAUSTIVE_MAX_SENSORS
-    if exhaustive:
-        # Exactly those coalitions: zero bits inserted at the members, lower
-        # first (a no-op at bit 0), into 0 .. 2^(p - members) - 1.
-        agreeing = []
-        for members, (first, second) in zip((2, 1), checks):
-            bases = np.arange(len(values) >> members)
-            for bit in (first[:, None], second[:, None]):
-                low = bases & (bit - 1)
-                bases = (bases - low) << 1 | low
-            agreeing.append(_agreeing(values, first, second, bases))
-    else:
-        # A fixed-seed pool, skipping the coalitions that hold a member; an
-        # array holds at most C(24, 2) * 4096 = 1.1M values.
+    if not exhaustive:
         rng = np.random.default_rng(_AXIOM_SAMPLE_SEED)
         pool = rng.integers(0, 1 << p, size=AXIOM_SAMPLE_SIZE, dtype=np.int64)
-        agreeing = [
-            _agreeing(values, f, s, pool, (pool & (f | s)[:, None]) != 0)
-            for f, s in checks
-        ]
+    agreeing = []
+    for members, (first, second) in zip((2, 1), checks):
+
+        def tested(rows, screen):
+            bits = first[rows, None], second[rows, None]
+            if exhaustive:
+                # Exactly those coalitions: zero bits inserted at the
+                # members, lower first (a no-op at bit 0), into
+                # 0 .. 2^(p - members) - 1; the screen takes the top ones.
+                top = len(values) >> members
+                bases = np.arange(max(0, top - _SCREEN) if screen else 0, top)
+                for bit in bits:
+                    low = bases & (bit - 1)
+                    bases = (bases - low) << 1 | low
+                return bases, False
+            # The pool, skipping the coalitions that hold a member. The
+            # screen reads its first _SCREEN << members entries, about
+            # _SCREEN per row; an array holds at most C(24, 2) * 4096 = 1.1M
+            # values.
+            bases = pool[: _SCREEN << members] if screen else pool
+            return bases, (bases & (bits[0] | bits[1])) != 0
+
+        agreeing.append(_agreeing(values, first, second, tested))
     symmetric, dummy = agreeing
 
     symmetric_pairs = []

@@ -199,6 +199,11 @@ def axiom_game(p, seed, eps):
     table = 10.0 * (members @ w) ** 2 / (1.0 + members @ u)
     if p >= 3:
         table[(members[:, -1] | members[:, -2]) == 1] *= 1.0 + eps
+    return exact_result(table, p)
+
+
+def exact_result(table, p):
+    """The exact attribution result of the game with the given table."""
     phi = shapley_from_table(table, p)
     grand = float(table[-1])
     return AttributionResult(
@@ -232,3 +237,60 @@ class TestVerifyAxiomsOracle:
             detected = eps < 1e-9
             assert (("s0", f"s{p - 1}") in pairs) == detected
             assert (f"s{p - 2}" in dummies) == detected
+
+
+def late_neighbours(pool, p):
+    """Pool coalitions S and T = S + {a}, T with two non-members, such that
+    the earlier of their first places in the pool is as late as possible."""
+    first = {}
+    for index, mask in enumerate(pool.tolist()):
+        first.setdefault(mask, index)
+    _, base, a = max(
+        (min(at, first[base | 1 << i]), base, i)
+        for base, at in first.items()
+        for i in range(p)
+        if not base >> i & 1
+        and base | 1 << i in first
+        and bin(base | 1 << i).count("1") <= p - 2
+    )
+    return base, a
+
+
+class TestAxiomScreen:
+    # A duplicate pair (a, b) and a dummy d whose checks each disagree, by
+    # 2e-9 relative, on exactly one tested coalition: v(T) is scaled for
+    # T = S + {a}, which the pair reads at S and the dummy at T. On the
+    # exhaustive path S is the empty coalition, the smallest mask; on the
+    # sampled pool S and T sit as late in the pool as possible. Neither may
+    # be reported, however few coalitions a row is screened on first.
+    @pytest.mark.parametrize("p", [5, 12, 13, 16])
+    def test_one_disagreeing_coalition_is_enough(self, p):
+        if p <= shapley_module.AXIOM_EXHAUSTIVE_MAX_SENSORS:
+            base, a = 0, 0
+        else:
+            rng = np.random.default_rng(shapley_module._AXIOM_SAMPLE_SEED)
+            pool = rng.integers(
+                0, 1 << p, size=shapley_module.AXIOM_SAMPLE_SIZE, dtype=np.int64
+            )
+            base, a = late_neighbours(pool, p)
+        planted = base | 1 << a
+        b, d = [i for i in range(p) if not planted >> i & 1][-2:]
+
+        rng = np.random.default_rng(300 + p)
+        w, u = rng.uniform(1.0, 3.0, p), rng.uniform(0.0, 1.0, p)
+        w[b], u[b] = w[a], u[a]
+        w[d] = u[d] = 0.0
+        members = (np.arange(1 << p)[:, None] >> np.arange(p)) & 1
+        table = 10.0 * (members @ w) ** 2 / (1.0 + members @ u)
+        pair, dummy = (f"s{a}", f"s{b}"), f"s{d}"
+
+        clean = verify_axioms(exact_result(table, p))
+        assert pair in {c.sensors for c in clean.symmetric_pairs}
+        assert dummy in {c.name for c in clean.dummy_sensors}
+
+        table[planted] *= 1.0 + 2e-9
+        result = exact_result(table, p)
+        report = verify_axioms(result)
+        assert report == verify_axioms_oracle(result)
+        assert pair not in {c.sensors for c in report.symmetric_pairs}
+        assert dummy not in {c.name for c in report.dummy_sensors}

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,3 +197,50 @@ class TestMetricProperties:
         assert singles_sum == 0.0
         assert table[0b11] == pytest.approx(20.0)
         assert table[0b11] != singles_sum
+
+
+class TestTraceReadsTheDiagonal:
+    @pytest.mark.parametrize("n", range(1, 33))
+    def test_evaluate_equals_numpy_trace_bit_for_bit(self, n):
+        # from n = 8 numpy sums the diagonal pairwise
+        rng = np.random.default_rng(4000 + n)
+        for k in (1, 3, 1000):
+            scale = 10.0 ** rng.uniform(-6, 6, (k, 1, 1))
+            stack = rng.standard_normal((k, n, n)) * scale
+            got = evaluate(TRACE, stack).view(np.uint64)
+            want = np.trace(stack, axis1=-2, axis2=-1).view(np.uint64)
+            assert np.array_equal(got, want)
+
+    def test_table_matches_traces_of_chunked_batches(self, monkeypatch):
+        # 4 KiB chunks split p = 13 into many; n = 9 sums pairwise
+        rng = np.random.default_rng(13)
+        n, p = 9, 13
+        model = LtiModel(
+            rng.uniform(-0.5, 0.5, size=(n, n)),
+            tuple(Sensor(f"s{i}", rng.uniform(-1.0, 1.0, size=n)) for i in range(p)),
+            5,
+        )
+        bank = per_sensor_gramians(model)
+        masks = np.arange(2**p)
+        full = np.trace(coalition_gramians(bank, masks), axis1=-2, axis2=-1)
+        monkeypatch.setattr(metrics, "_CHUNK_BYTES", 4096)
+        table = coalition_values(bank, TRACE)
+        assert table.tobytes() == coalition_values(bank, TRACE, masks).tobytes()
+        assert table.tobytes() == full.tobytes()
+
+    def test_non_finite_diagonal_sum_is_refused(self):
+        # both members are finite; their coalition's first diagonal entry is not
+        bank = np.array([np.diag([1e308, 1.0]), np.diag([1e308, 1.0])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for masks in (None, np.array([3])):
+                with pytest.raises(ValueError, match="non-finite entries"):
+                    coalition_values(bank, TRACE, masks)
+
+    def test_finite_diagonals_summing_past_the_float_range_are_refused(self):
+        bank = np.array([np.diag([1e308, 0.0]), np.diag([0.0, 1e308])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for masks in (None, np.array([3])):
+                with pytest.raises(ValueError, match="Gramian trace overflows"):
+                    coalition_values(bank, TRACE, masks)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,6 +221,19 @@ class TestShapleyFromTable:
         values[0] = 0.0
         got = shapley_from_table(values, p)
         assert got.tobytes() == shapley_from_table_oracle(values, p).tobytes()
+
+    def test_working_memory_is_at_most_one_and_a_half_tables(self):
+        # at p = 20 the table is 8 MiB; the contraction may allocate at most
+        # 1.5 times that on top of it
+        p = 20
+        values = np.random.default_rng(20).standard_normal(1 << p)
+        tracemalloc.start()
+        try:
+            shapley_from_table(values, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * values.nbytes
 
 
 def shapley_from_table_oracle(values, p):
