@@ -17,8 +17,9 @@ invocations:
 Each manifest line holds one invocation's id, its exit code (or the name of
 an exception that escaped ``main``) and the sha256 of its standard output and
 of its standard error, with any warning appended to the latter. The header
-records the numpy and BLAS versions, since the bits of the eigen-solves
-depend on both.
+records the numpy and BLAS versions and the CPU kernel (core) OpenBLAS
+picked at load time, since the bits of the eigen-solves and of ``np.dot``
+depend on all three.
 
 ``tests/test_same_bits.py`` re-runs the corpus and names every id whose line
 differs. After a deliberate behaviour change, rewrite the manifest from the
@@ -28,6 +29,7 @@ repository root and list the ids that changed in CHANGES.md:
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -289,14 +291,34 @@ def manifest_lines(directory: Path) -> list[str]:
     return lines
 
 
+def blas_core() -> str:
+    """The CPU kernel numpy's bundled OpenBLAS runs on, such as ``SkylakeX``
+    or ``Haswell`` (``OPENBLAS_CORETYPE`` overrides it), or ``unknown``
+    where numpy does not bundle scipy-openblas."""
+    root = Path(np.__file__).parent
+    bundled = [
+        *root.parent.glob("numpy.libs/libscipy_openblas*"),
+        *root.glob(".dylibs/libscipy_openblas*"),
+    ]
+    for path in sorted(bundled):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def header() -> list[str]:
-    """The manifest's header: its line format and the numpy and BLAS versions
-    the hashes depend on."""
+    """The manifest's header: its line format, the numpy and BLAS versions
+    and the BLAS core the hashes depend on."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return [
         "# same-bits manifest: id exit sha256(stdout) sha256(stderr)",
         f"# numpy {np.__version__}",
         f"# blas {blas['name']} {blas['version']}",
+        f"# blas core {blas_core()}",
     ]
 
 

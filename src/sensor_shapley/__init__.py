@@ -2,7 +2,7 @@
 systems, via exact Shapley values over sensor coalitions.
 
 The public surface: model types and validation (:mod:`~sensor_shapley.model`),
-observability matrices and Gramians (:mod:`~sensor_shapley.gramian`), the
+observability Gramians (:mod:`~sensor_shapley.gramian`), the
 degree metrics (:mod:`~sensor_shapley.metrics`), exact and sampled Shapley
 attribution with axiom checks (:mod:`~sensor_shapley.shapley`), and model-file
 parsing plus report rendering (:mod:`~sensor_shapley.report`). The
@@ -11,9 +11,7 @@ parsing plus report rendering (:mod:`~sensor_shapley.report`). The
 
 from .gramian import (
     coalition_gramians,
-    gramian_direct,
     is_observable,
-    observability_matrix,
     pack_masks,
     per_sensor_gramians,
 )
@@ -72,9 +70,7 @@ __all__ = [
     "coalition_values",
     "emit_scenarios",
     "evaluate",
-    "gramian_direct",
     "is_observable",
-    "observability_matrix",
     "pack_masks",
     "parse_model_document",
     "per_sensor_gramians",

@@ -9,7 +9,8 @@ Subcommands:
 * ``emit-scenarios``: write the bundled example model files.
 
 Exit codes: 0 success; 1 ``check`` found the full sensor set unobservable;
-2 input error (bad flags, unreadable or invalid model file); 3 exact
+2 input error (bad flags, unreadable or invalid model file, or a request too
+large to allocate, such as an enormous ``--sample``); 3 exact
 enumeration refused because the sensor count exceeds the cap (rerun with
 ``--sample``); 4 the exact Shapley values failed the efficiency check (they do
 not sum to the grand value). All error text goes to standard error.
@@ -225,7 +226,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check":
             return _cmd_check(args)
         return _cmd_emit(args)
-    except (OSError, ValueError) as err:  # ModelDocumentError is a ValueError
+    except (OSError, ValueError, MemoryError) as err:
+        # ModelDocumentError is a ValueError
         _fail(str(err))
         return 2
 

@@ -1,29 +1,28 @@
-"""Observability matrices and Gramians for sensor coalitions.
+"""Observability Gramians for sensor coalitions.
 
 A coalition S is a membership bitmask: bit i set means sensor i is a member.
-For stacked measurement rows C_S, the observability matrix over K+1 samples
-is the row-stack of C_S A^k for k = 0..K, and the observability Gramian is
+For stacked measurement rows C_S, the observability matrix O_S over K+1
+samples is the row-stack of C_S A^k for k = 0..K, and the observability
+Gramian is
 
     W_S = sum_k (A^T)^k C_S^T C_S A^k = O_S^T O_S.
 
 W_S is symmetric positive semidefinite and additive over sensors: W_S = sum
 of the single-sensor Gramians of the members of S. That additivity is what
-makes coalition values cheap: the bank of per-sensor Gramians is built once
-(``per_sensor_gramians``, a ``(p, n, n)`` array) and the Gramians of any
-batch of coalitions are stacked n x n sums of bank members
-(``coalition_gramians``). A batch's sums start from a partial table over the
-lowest c sensors (2^c at most the batch size) and add each coalition's
-higher members in ascending index, the bits of adding members one at a
-time; the working set is at most twice the batch's output. The bank
-propagates A^k once and forms every sensor's block c_i A^k from it;
-``gramian_direct`` keeps the definition-level construction, with its own
-power chain, as the independent cross-check. Every Gramian is a plain
-read-only array. Overflow is caught when the bank is built, naming the
-sensor. The PSD rule (``_eigenvalues``) runs on the bank, on
-``gramian_direct``, in the min-eig ``evaluate``, which also catches
-non-finite coalition sums, and on the stack ``check`` prints. Symmetry holds
-by construction: entries (i, j) and (j, i) are the same products added in
-the same order, so they are never checked or symmetrized.
+makes coalition values cheap, and it is the only way W_S is built here: the
+bank of per-sensor Gramians is built once (``per_sensor_gramians``, a
+``(p, n, n)`` array) and the Gramians of any batch of coalitions are stacked
+n x n sums of bank members (``coalition_gramians``). A batch's sums start
+from a partial table over the lowest c sensors (2^c at most the batch size)
+and add each coalition's higher members in ascending index, the bits of
+adding members one at a time; the working set is at most twice the batch's
+output. The bank propagates A^k once and forms every sensor's block c_i A^k
+from it. Overflow is caught when the bank is built, naming the sensor. The
+PSD rule (``_eigenvalues``) runs on the bank, in the min-eig ``evaluate``,
+which also catches non-finite coalition sums, in ``is_observable`` and on
+the stack ``check`` prints. Symmetry holds by construction: entries (i, j)
+and (j, i) are the same products added in the same order, so they are never
+checked or symmetrized.
 
 The system is observable over the window iff the full-coalition Gramian is
 positive definite, i.e. its minimum eigenvalue is strictly positive.
@@ -34,8 +33,6 @@ are deterministic for a given input.
 
 from __future__ import annotations
 
-from numbers import Integral
-
 import numpy as np
 
 from .model import LtiModel, _shown
@@ -43,9 +40,7 @@ from .model import LtiModel, _shown
 __all__ = [
     "coalition_gramians",
     "full_gramian",
-    "gramian_direct",
     "is_observable",
-    "observability_matrix",
     "pack_masks",
     "per_sensor_gramians",
 ]
@@ -54,10 +49,6 @@ __all__ = [
 # floored absolutely) before a Gramian is rejected as non-PSD.
 PSD_RTOL = 1e-9
 PSD_FLOOR = 1e-12
-
-
-def _members(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _eigenvalues(gramians: np.ndarray) -> np.ndarray:
@@ -82,77 +73,14 @@ def _eigenvalues(gramians: np.ndarray) -> np.ndarray:
     return eigs
 
 
-def _coalition_rows(model: LtiModel, mask: int) -> np.ndarray:
-    if not isinstance(mask, Integral) or isinstance(mask, bool):
-        raise ValueError(f"coalition bitmask must be an integer, got {mask!r}")
-    mask = int(mask)
-    if mask < 0:
-        raise ValueError(f"coalition bitmask must be non-negative, got {mask}")
-    if mask >> model.sensor_count:
-        members = ", ".join(map(str, _members(mask)))
-        raise ValueError(
-            f"coalition {{{members}}} references sensor index "
-            f"{mask.bit_length() - 1} but only {model.sensor_count} sensors exist"
-        )
-    if not mask:
-        raise ValueError("empty coalition has no observability matrix")
-    return np.vstack([model.sensors[i].row for i in _members(mask)])
-
-
-def _blocks(model: LtiModel, mask: int):
-    # C_S A^k for k = 0..K. Powers of the state matrix are accumulated by
-    # repeated multiplication, which stays well defined for defective
-    # (non-diagonalizable) dynamics.
-    rows = _coalition_rows(model, mask)
-    power = np.eye(model.state_dimension)
-    for _ in range(model.horizon_samples):
-        yield rows @ power
-        power = power @ model.state_matrix
-
-
-def observability_matrix(model: LtiModel, mask: int) -> np.ndarray:
-    """The stacked blocks C_S A^k for k = 0..K of the non-empty coalition
-    with membership bitmask ``mask``, as a read-only array with
-    (K+1) * |S| rows."""
-    stacked = np.vstack(list(_blocks(model, mask)))
-    stacked.setflags(write=False)
-    return stacked
-
-
-def _direct_sum(model: LtiModel, mask: int) -> np.ndarray:
-    # sum_k (C_S A^k)^T (C_S A^k). Overflow is left to the callers'
-    # finiteness checks instead of leaking warnings.
-    n = model.state_dimension
-    acc = np.zeros((n, n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for block in _blocks(model, mask):
-            acc += block.T @ block
-    return acc
-
-
-def gramian_direct(model: LtiModel, mask: int) -> np.ndarray:
-    """Build the Gramian of the coalition with membership bitmask ``mask``
-    straight from its definition, as a read-only ``(n, n)`` array.
-
-    Accumulates sum_k (C_S A^k)^T (C_S A^k) over the sample window. This is
-    the reference construction; production paths sum the per-sensor bank
-    instead (see ``coalition_gramians``).
-    """
-    gram = _direct_sum(model, mask)
-    _eigenvalues(gram)
-    gram.setflags(write=False)
-    return gram
-
-
 def per_sensor_gramians(model: LtiModel) -> np.ndarray:
     """The bank: all p single-sensor Gramians, built once, as a read-only
     ``(p, n, n)`` array index-aligned with the model's sensors.
 
     Each step of one power chain adds the outer product of c_i A^k with
-    itself to sensor i's slot, the bits of the singleton's ``gramian_direct``.
-    Dynamics that overflow within the window are rejected with a
-    ``ValueError`` naming the sensor and the horizon; the members then pass
-    the PSD check of ``gramian_direct`` as one stack.
+    itself to sensor i's slot. Dynamics that overflow within the window are
+    rejected with a ``ValueError`` naming the sensor and the horizon; the
+    members then pass the PSD check as one stack.
     """
     n, h = model.state_dimension, model.horizon_samples
     rows = [sensor.row[None, :] for sensor in model.sensors]
@@ -268,11 +196,13 @@ def is_observable(gramians: np.ndarray, tol: float | None = None):
     Takes one ``(n, n)`` Gramian (returns a bool) or a ``(k, n, n)`` stack
     (returns a boolean array). ``tol`` is the strict lower bound the minimum
     eigenvalue must exceed, a positive finite number; by default
-    1e-9 * max(1, largest eigenvalue).
+    1e-9 * max(1, largest eigenvalue). Gramians with non-finite entries or a
+    minimum eigenvalue beyond the PSD tolerance are rejected with a
+    ``ValueError``, as everywhere else.
     """
     if tol is not None and not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    verdict = _observable(np.linalg.eigvalsh(gramians), tol)
+    verdict = _observable(_eigenvalues(gramians), tol)
     return bool(verdict) if verdict.ndim == 0 else verdict
 
 

@@ -9,8 +9,9 @@ Equivalently, phi_i is the average marginal contribution of i over all p!
 orderings in which the sensors could be added. ``shapley_exact`` evaluates
 the subset sum from the 2^p value table, built once from the per-sensor
 Gramian bank and carried on the result; ``shapley_permutation_oracle``
-re-derives the same numbers by brute-force ordering enumeration and exists
-as the cross-check; ``shapley_sampled`` Monte-Carlo averages over random
+re-derives the same numbers by brute-force ordering enumeration, valuing
+each coalition from its own stacked observability matrix, and exists as the
+cross-check; ``shapley_sampled`` Monte-Carlo averages over random
 orderings for sensor sets too large to enumerate, at any sensor count. Both
 estimators value their coalitions through one batched path
 (:func:`~sensor_shapley.metrics.coalition_values`).
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gramian import full_gramian, gramian_direct, pack_masks, per_sensor_gramians
+from .gramian import full_gramian, pack_masks, per_sensor_gramians
 from .metrics import ValueFunctionKind, coalition_values, evaluate
 from .model import LtiModel, _shown, require_enumerable
 
@@ -210,14 +211,25 @@ def _unique_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[starts], inverse
 
 
+def _observability_matrix(model: LtiModel, mask: int) -> np.ndarray:
+    # O_S, the blocks C_S A^k for k = 0..K stacked, S the members of mask.
+    rows = np.array([s.row for i, s in enumerate(model.sensors) if mask >> i & 1])
+    blocks, power = [], np.eye(model.state_dimension)
+    for _ in range(model.horizon_samples):
+        blocks.append(rows @ power)
+        power = power @ model.state_matrix
+    return np.vstack(blocks)
+
+
 def shapley_permutation_oracle(model: LtiModel, kind: ValueFunctionKind) -> np.ndarray:
     """Shapley values by enumerating all p! sensor orderings.
 
     Each sensor's value is the average, over every ordering, of the change it
-    causes when appended to the sensors before it. Each coalition's value is
-    built from the definition-level Gramian construction, independent of the
-    value table and subset-sum path, which makes this the cross-check for
-    ``shapley_exact``. Limited to small sensor counts.
+    causes when appended to the sensors before it. Each coalition S is valued
+    as ``evaluate(kind, O_S^T O_S)`` from its stacked observability matrix
+    O_S, sharing no code with the Gramian bank, the value table or the
+    subset-sum path, which makes this the cross-check for ``shapley_exact``.
+    Limited to small sensor counts.
     """
     p = model.sensor_count
     if p > ORACLE_MAX_SENSORS:
@@ -231,7 +243,8 @@ def shapley_permutation_oracle(model: LtiModel, kind: ValueFunctionKind) -> np.n
         try:
             return cache[mask]
         except KeyError:
-            value = float(evaluate(kind, gramian_direct(model, mask)))
+            stacked = _observability_matrix(model, mask)
+            value = float(evaluate(kind, stacked.T @ stacked))
             cache[mask] = value
             return value
 

@@ -17,8 +17,6 @@ import pytest
 from sensor_shapley import (
     ValueFunctionKind,
     coalition_gramians,
-    gramian_direct,
-    observability_matrix,
     per_sensor_gramians,
     shapley_exact,
     shapley_from_table,
@@ -28,8 +26,10 @@ from sensor_shapley import (
 )
 from sensor_shapley.cli import main
 from sensor_shapley.model import LtiModel, Sensor
+from sensor_shapley.shapley import _observability_matrix
 
 from conftest import attribution_corpus, gramian_corpus
+from oracles import gramian_direct
 
 TRACE = ValueFunctionKind.TRACE
 MIN_EIG = ValueFunctionKind.MIN_EIGENVALUE
@@ -157,7 +157,7 @@ def test_gramian_identity_suite():
             direct = gramian_direct(model, mask)
             scale = max(float(np.max(np.abs(direct))), 1e-300)
 
-            stacked = observability_matrix(model, mask)
+            stacked = _observability_matrix(model, mask)
             identity_err = float(np.max(np.abs(direct - stacked.T @ stacked)))
             worst_identity = max(worst_identity, identity_err / scale)
 

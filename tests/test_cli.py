@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sensor_shapley import cli, gramian, model, shapley
+from sensor_shapley import cli, model, shapley
 from sensor_shapley.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -173,8 +173,8 @@ class TestWorkPerAnalyze:
         banks = counting(monkeypatch, shapley, "per_sensor_gramians")
         tables = counting(monkeypatch, shapley, "coalition_values")
         # the bank shares one power chain; neither it nor the verdict runs
-        # the per-coalition oracle construction
-        oracle = counting(monkeypatch, gramian, "_direct_sum")
+        # the permutation oracle's per-coalition construction
+        oracle = counting(monkeypatch, shapley, "_observability_matrix")
         path = write_model(tmp_path, sensors_payload(5))
         code, _, _ = run(capsys, "analyze", "--model", path, *extra)
         assert code == 0
@@ -418,6 +418,15 @@ class TestAnalyzeErrors:
         assert code == 0
         assert len(json.loads(out)["per_sensor"]) == 25
 
+    def test_unallocatable_sample_count_exits_two(self, capsys):
+        # the allocator refuses petabytes at once, so nothing is allocated;
+        # exit 1 stays check's "unobservable"
+        code, out, err = run(
+            capsys, "analyze", "--scenario", "2", "--sample", "1000000000000000"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("sensor-shapley: error: Unable to allocate")
+        assert err.count("\n") == 1
 
     def test_unstable_dynamics_fail_cleanly(self, tmp_path, capsys):
         path = write_model(

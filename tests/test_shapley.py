@@ -17,6 +17,7 @@ from sensor_shapley import (
     shapley_sampled,
     value_table,
 )
+from sensor_shapley import shapley
 
 from conftest import attribution_corpus, over_the_cap_model
 
@@ -132,6 +133,21 @@ class TestPermutationOracle:
             oracle = shapley_permutation_oracle(scenario2_model, kind)
             exact = shapley_exact(scenario2_model, kind).shapley_values
             np.testing.assert_allclose(oracle, exact, atol=1e-9)
+
+    def test_independent_of_the_bank_and_table(self, scenario2_model, monkeypatch):
+        exact = {
+            kind: shapley_exact(scenario2_model, kind).shapley_values
+            for kind in (TRACE, MIN_EIG)
+        }
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle reached the bank path")
+
+        monkeypatch.setattr(shapley, "per_sensor_gramians", refuse)
+        monkeypatch.setattr(shapley, "coalition_values", refuse)
+        for kind, values in exact.items():
+            oracle = shapley_permutation_oracle(scenario2_model, kind)
+            np.testing.assert_allclose(oracle, values, atol=1e-9)
 
     def test_single_sensor(self):
         model = LtiModel([[2.0]], (Sensor("a", [1.0]),), 3)
