@@ -225,7 +225,7 @@ def invocations(directory: Path) -> list[tuple[str, list[str]]]:
         ]
 
     # 2^13 coalitions of 24-state Gramians: the exact table sums each chunk
-    # from a partial table over the low 11 sensors plus the high members
+    # from a partial table over the low 10 sensors plus the high members
     source = model_file("wide-state", json.dumps(random_payload(24, 13, 24, 6)))
     for form in ("trace-json", "json", "check"):
         runs.append((f"wide-state-p13-{form}", ANALYZE_FORMS[form] + source))

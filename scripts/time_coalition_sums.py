@@ -7,8 +7,9 @@ workload) gets 100 seeded sensor orderings. Their distinct prefix coalitions
 are packed into bitmask words, as ``shapley_sampled`` values them. The script
 prints, per p, the median wall time of ``coalition_gramians`` (the sums alone)
 and of ``coalition_values(bank, MIN_EIGENVALUE, masks)`` (sums plus
-eigen-solves), and the sha256 of the values, so that two checkouts can be
-compared for speed and for identical bits.
+eigen-solves), the tracemalloc peak of one ``values`` call, and the sha256
+of the values, so that two checkouts can be compared for speed, working
+memory and identical bits.
 
 Run from the repository root:
 
@@ -18,6 +19,7 @@ Run from the repository root:
 import hashlib
 import statistics
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -66,10 +68,15 @@ def main() -> None:
         bank, masks = prefix_batch(p)
         sums = median_ms(lambda: coalition_gramians(bank, masks))
         values_ms = median_ms(lambda: coalition_values(bank, kind, masks))
-        digest = hashlib.sha256(coalition_values(bank, kind, masks).tobytes())
+        tracemalloc.start()
+        values = coalition_values(bank, kind, masks)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+        tracemalloc.stop()
+        digest = hashlib.sha256(values.tobytes())
         print(
             f"p={p:<4d} masks={len(masks):<6d} sums {sums:7.2f} ms  "
-            f"values {values_ms:7.2f} ms  sha256 {digest.hexdigest()}"
+            f"values {values_ms:7.2f} ms  peak {peak_mb:5.2f} MB  "
+            f"sha256 {digest.hexdigest()}"
         )
 
 

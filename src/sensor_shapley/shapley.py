@@ -201,8 +201,12 @@ def _unique_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # The distinct rows of a (k, w) word array, in lexicographic order with
     # word 0 first, and each row's index among them. np.lexsort takes its
     # primary key last, and is an order of magnitude faster than
-    # np.unique(axis=0).
-    order = np.lexsort(words.T[::-1])
+    # np.unique(axis=0); one word needs only one np.argsort, about 5x faster
+    # again. Equal rows get one index whatever their order in the sort.
+    if words.shape[1] == 1:
+        order = np.argsort(words[:, 0])
+    else:
+        order = np.lexsort(words.T[::-1])
     ordered = words[order]
     starts = np.ones(len(words), dtype=bool)
     starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)

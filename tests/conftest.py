@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -43,6 +46,66 @@ def over_the_cap_model(horizon=2):
     """A model with one sensor more than exact enumeration accepts."""
     sensors = tuple(Sensor(f"s{i}", [1.0]) for i in range(ENUMERATION_CAP + 1))
     return LtiModel(np.eye(1), sensors, horizon)
+
+
+def wide_bank_corpus(count, seed=60601):
+    """Stable models with n up to 24, p up to 11 and h up to 299; rows spread
+    over 1e-3..1e3 with exact zeros (so outer products meet -0.0); and last,
+    one defective (Jordan-block) state matrix."""
+    rng = np.random.default_rng(seed)
+    shapes = []
+    for _ in range(count):
+        n, p = int(rng.integers(1, 25)), int(rng.integers(1, 12))
+        state = rng.standard_normal((n, n))
+        state *= rng.uniform(0.5, 1.0) / max(abs(np.linalg.eigvals(state)))
+        rows = rng.standard_normal((p, n)) * 10.0 ** rng.uniform(-3, 3, (p, n))
+        rows[rng.random((p, n)) < 0.25] = 0.0
+        shapes.append((state, rows, int(rng.integers(1, 300))))
+    shapes.append((0.9 * np.eye(6) + np.eye(6, k=1), np.eye(6)[::2] - 0.5, 299))
+    return [
+        LtiModel(state, tuple(Sensor(f"s{i}", r) for i, r in enumerate(rows)), h)
+        for state, rows, h in shapes
+    ]
+
+
+def ascending_sums(bank, members):
+    """Each row of a (k, p) membership matrix summed over the bank, members
+    added one at a time in ascending index from +0.0: the definition of the
+    bits of a coalition sum."""
+    sums = np.zeros((len(members),) + bank.shape[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for acc, row in zip(sums, members):
+            for i in np.flatnonzero(row):
+                acc += bank[i]
+    return sums
+
+
+SAME_BITS_SCRIPT = (
+    Path(__file__).resolve().parent.parent / "scripts" / "same_bits_corpus.py"
+)
+
+
+def load_same_bits_corpus():
+    """scripts/same_bits_corpus.py as a module."""
+    spec = importlib.util.spec_from_file_location("same_bits_corpus", SAME_BITS_SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def blas_cores() -> str:
+    """This run's OpenBLAS core beside the one the same-bits manifest header
+    records, for the failure message of a golden comparison: min-eig and
+    Shapley digits depend on the core, so a machine with another kernel
+    reads as this one line rather than as a diff of digits."""
+    corpus = load_same_bits_corpus()
+    prefix = "# blas core "
+    lines = corpus.MANIFEST.read_text(encoding="utf-8").splitlines()
+    recorded = [line[len(prefix) :] for line in lines if line.startswith(prefix)]
+    return (
+        f"BLAS core {corpus.blas_core()} in this run, "
+        f"{recorded[0] if recorded else 'unrecorded'} in the same-bits manifest"
+    )
 
 
 @st.composite

@@ -28,7 +28,7 @@ from sensor_shapley.cli import main
 from sensor_shapley.model import LtiModel, Sensor
 from sensor_shapley.shapley import _observability_matrix
 
-from conftest import attribution_corpus, gramian_corpus
+from conftest import attribution_corpus, blas_cores, gramian_corpus
 from oracles import gramian_direct
 
 TRACE = ValueFunctionKind.TRACE
@@ -304,7 +304,7 @@ def test_cli_contract(tmp_path):
         _check(
             failures,
             out == golden,
-            f"scenario {sid} JSON differs from the golden file",
+            f"scenario {sid} JSON differs from the golden file ({blas_cores()})",
         )
 
     bad = tmp_path / "bad.json"

@@ -9,6 +9,8 @@ import pytest
 from sensor_shapley import cli, model, shapley
 from sensor_shapley.cli import main
 
+from conftest import blas_cores
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "regenerate_goldens.py"
 
@@ -110,7 +112,7 @@ class TestAnalyze:
                 capsys, "analyze", "--scenario", str(sid), "--format", "json"
             )
             assert code == 0
-            assert out == golden
+            assert out == golden, blas_cores()
 
     @pytest.mark.parametrize(
         "golden, argv",
@@ -125,7 +127,7 @@ class TestAnalyze:
         expected = (GOLDEN_DIR / golden).read_text(encoding="utf-8")
         code, out, err = run(capsys, *argv)
         assert code == 0 and err == ""
-        assert out == expected
+        assert out == expected, blas_cores()
 
     def test_every_golden_file_has_a_command(self):
         assert sorted(path.name for path in GOLDEN_DIR.iterdir()) == sorted(GOLDENS)

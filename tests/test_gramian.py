@@ -7,15 +7,23 @@ from hypothesis import given, settings
 from sensor_shapley import (
     LtiModel,
     Sensor,
+    ValueFunctionKind,
     coalition_gramians,
     is_observable,
     pack_masks,
     per_sensor_gramians,
+    shapley_exact,
 )
 from sensor_shapley import gramian
 from sensor_shapley.shapley import _observability_matrix as observability_matrix
 
-from conftest import gramian_corpus, lti_models, make_random_model
+from conftest import (
+    ascending_sums,
+    gramian_corpus,
+    lti_models,
+    make_random_model,
+    wide_bank_corpus,
+)
 from oracles import gramian_direct
 
 
@@ -74,26 +82,6 @@ class TestGramianDirect:
         got = gramian_direct(model, 0b101)
         rows = np.array([[1.0, 0, 0], [1.0, 1, 0]])
         np.testing.assert_allclose(got, rows.T @ rows)
-
-
-def wide_bank_corpus(count, seed=60601):
-    """Stable models with n up to 24, p up to 11 and h up to 299; rows spread
-    over 1e-3..1e3 with exact zeros (so outer products meet -0.0); and last,
-    one defective (Jordan-block) state matrix."""
-    rng = np.random.default_rng(seed)
-    shapes = []
-    for _ in range(count):
-        n, p = int(rng.integers(1, 25)), int(rng.integers(1, 12))
-        state = rng.standard_normal((n, n))
-        state *= rng.uniform(0.5, 1.0) / max(abs(np.linalg.eigvals(state)))
-        rows = rng.standard_normal((p, n)) * 10.0 ** rng.uniform(-3, 3, (p, n))
-        rows[rng.random((p, n)) < 0.25] = 0.0
-        shapes.append((state, rows, int(rng.integers(1, 300))))
-    shapes.append((0.9 * np.eye(6) + np.eye(6, k=1), np.eye(6)[::2] - 0.5, 299))
-    return [
-        LtiModel(state, tuple(Sensor(f"s{i}", r) for i, r in enumerate(rows)), h)
-        for state, rows, h in shapes
-    ]
 
 
 class TestPerSensorGramians:
@@ -188,16 +176,6 @@ class TestCoalitionGramian:
                         acc += bank[i]
                 assert stack[mask].tobytes() == acc.tobytes()
 
-    @staticmethod
-    def ascending_sums(bank, members):
-        # members added one at a time in ascending index, one row per mask
-        sums = np.zeros((len(members),) + bank.shape[1:])
-        with np.errstate(over="ignore", invalid="ignore"):
-            for acc, row in zip(sums, members):
-                for i in np.flatnonzero(row):
-                    acc += bank[i]
-        return sums
-
     @pytest.mark.parametrize("p, k", [(5, 12), (13, 300), (40, 500), (70, 200)])
     def test_partial_batches_match_ascending_member_sums_bit_for_bit(self, p, k):
         # k < 2^p, so the sums start from a table over fewer than p sensors
@@ -207,7 +185,7 @@ class TestCoalitionGramian:
         bank = per_sensor_gramians(LtiModel(rng.uniform(-1, 1, (3, 3)), sensors, 6))
         members = rng.random((k, p)) < rng.uniform(0.1, 0.9, (k, 1))
         got = coalition_gramians(bank, pack_masks(members))
-        assert got.tobytes() == self.ascending_sums(bank, members).tobytes()
+        assert got.tobytes() == ascending_sums(bank, members).tobytes()
 
     def test_single_mask_batch_matches_ascending_member_sums_bit_for_bit(self):
         bank = per_sensor_gramians(gramian_corpus(1, seed=4545)[0])
@@ -215,17 +193,39 @@ class TestCoalitionGramian:
         for mask in (0, 1, (1 << p) - 1, 1 << (p - 1)):
             members = (mask >> np.arange(p) & 1).astype(bool)[None]
             got = coalition_gramians(bank, np.array([mask]))
-            assert got.tobytes() == self.ascending_sums(bank, members).tobytes()
+            assert got.tobytes() == ascending_sums(bank, members).tobytes()
 
     def test_non_finite_sums_match_ascending_member_sums_bit_for_bit(self):
         bank = np.array([[[1e308]], [[1e308]], [[-np.inf]]])  # inf, -inf, nan
-        masks = np.arange(1, 8)  # 7 masks: a table over sensors 0 and 1
+        masks = np.arange(1, 8)  # 7 masks: a table over all three sensors
         members = (masks[:, None] >> np.arange(3) & 1).astype(bool)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = coalition_gramians(bank, masks)
-        assert got.tobytes() == self.ascending_sums(bank, members).tobytes()
+        assert got.tobytes() == ascending_sums(bank, members).tobytes()
         assert np.isnan(got[6, 0, 0]) and got[3, 0, 0] == -np.inf
+
+    @pytest.mark.parametrize("p", [5, 40, 70])
+    def test_signed_zero_and_infinite_entries_match_ascending_member_sums(self, p):
+        # -0.0, negative and +-inf bank entries: a non-member's +0.0 addend
+        # must leave every partial sum's bits alone, with one mask word
+        # (p = 5 and 40) and two (p = 70); 600 masks give a partial table
+        # over 10 sensors, so p = 5 is the table alone
+        rng = np.random.default_rng(p)
+        pool = np.array([-0.0, 0.0, -1.5, 2.0, -3e-310, np.inf, -np.inf, 1e308])
+        bank = pool[rng.integers(0, len(pool), (p, 2, 3))]
+        bank[rng.integers(0, p, 3), 0, 0] = -0.0
+        members = rng.random((600, p)) < rng.uniform(0.0, 0.6, (600, 1))
+        members[:3] = [np.zeros(p), np.ones(p), np.arange(p) % 2]
+        words = pack_masks(members)
+        assert words.shape[1] == (1 if p <= 64 else 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = coalition_gramians(bank, words)
+        want = ascending_sums(bank, members)
+        assert got.tobytes() == want.tobytes()
+        assert np.signbit(got[members.sum(1) > 0]).any()
+        assert not np.signbit(got[0]).any()  # the empty coalition is +0.0
 
     def test_full_gramian_matches_the_all_members_mask_bit_for_bit(self):
         banks = [per_sensor_gramians(m) for m in gramian_corpus(20, seed=4343)]
@@ -297,6 +297,35 @@ class TestGramianType:
         g = per_sensor_gramians(scenario1_model)
         with pytest.raises(ValueError):
             g[0, 0] = 5.0
+
+
+class TestOwnership:
+    """Who may write each Gramian array: the bank and a result's grand
+    Gramian are shared and read-only; batch sums and ``full_gramian`` are
+    fresh arrays the caller owns."""
+
+    def test_bank_and_grand_gramian_are_read_only(self, scenario2_model):
+        bank = per_sensor_gramians(scenario2_model)
+        grand = shapley_exact(scenario2_model, ValueFunctionKind.TRACE).grand_gramian
+        for shared in (bank, grand):
+            assert not shared.flags.writeable
+            with pytest.raises(ValueError):
+                shared[0, 0] = 5.0
+
+    def test_batch_sums_and_full_gramian_are_fresh_writeable_arrays(
+        self, scenario2_model
+    ):
+        bank = per_sensor_gramians(scenario2_model)
+        owned = [
+            coalition_gramians(bank, np.array([15, 1, 0])),
+            coalition_gramians(bank, pack_masks(np.eye(4, dtype=bool))),
+            gramian.full_gramian(bank),
+        ]
+        for array in owned:
+            assert array.flags.writeable and array.flags.c_contiguous
+            assert not np.shares_memory(array, bank)
+            array[...] = 5.0
+        assert coalition_gramians(bank, np.array([1]))[0].tolist() == bank[0].tolist()
 
 
 class TestGramianIdentities:

@@ -13,11 +13,18 @@ from sensor_shapley import (
     coalition_values,
     evaluate,
     metrics,
+    pack_masks,
     per_sensor_gramians,
     value_table,
 )
 
-from conftest import gramian_corpus, lti_models, over_the_cap_model
+from conftest import (
+    ascending_sums,
+    gramian_corpus,
+    lti_models,
+    over_the_cap_model,
+    wide_bank_corpus,
+)
 
 TRACE = ValueFunctionKind.TRACE
 MIN_EIG = ValueFunctionKind.MIN_EIGENVALUE
@@ -157,6 +164,46 @@ class TestValueTable:
             table = coalition_values(bank, kind)
             batched = coalition_values(bank, kind, np.arange(2**p))
             assert table.tobytes() == batched.tobytes()
+
+    @pytest.mark.parametrize("n", [6, 9])
+    def test_table_matches_mask_batches_and_full_gramians(self, monkeypatch, n):
+        # n = 9 is past numpy's pairwise-sum threshold of 8; a 40-coalition
+        # budget gives 32-coalition table chunks and 40-mask batches
+        rng = np.random.default_rng(n)
+        p = 10
+        model = LtiModel(
+            rng.uniform(-0.5, 0.5, size=(n, n)),
+            tuple(Sensor(f"s{i}", rng.uniform(-1.0, 1.0, size=n)) for i in range(p)),
+            7,
+        )
+        bank = per_sensor_gramians(model)
+        masks = np.arange(2**p)
+        full = coalition_gramians(bank, masks)
+        monkeypatch.setattr(metrics, "_CHUNK_BYTES", 40 * 8 * n * n)
+        for kind in (TRACE, MIN_EIG):
+            table = coalition_values(bank, kind)
+            assert table.tobytes() == coalition_values(bank, kind, masks).tobytes()
+            want = evaluate(kind, full)
+            want[0] = 0.0
+            assert table.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p", [5, 13, 40, 70])
+    def test_min_eig_batches_match_full_ascending_sums_bit_for_bit(
+        self, monkeypatch, p
+    ):
+        # the packed lower triangles against evaluate on the full ascending
+        # sums, for banks of p members drawn from each wide-corpus model (n
+        # up to 24), with 37-mask chunks so batches cross chunk boundaries
+        rng = np.random.default_rng(p)
+        for model in wide_bank_corpus(12)[::2]:
+            source = per_sensor_gramians(model)
+            bank = source[rng.integers(0, len(source), p)]
+            members = rng.random((150, p)) < rng.uniform(0.0, 1.0, (150, 1))
+            n = model.state_dimension
+            monkeypatch.setattr(metrics, "_CHUNK_BYTES", 37 * 8 * n * n)
+            got = coalition_values(bank, MIN_EIG, pack_masks(members))
+            want = evaluate(MIN_EIG, ascending_sums(bank, members))
+            assert got.tobytes() == want.tobytes(), (n, p)
 
     def test_batch_values_match_the_table(self, scenario2_model):
         bank = per_sensor_gramians(scenario2_model)

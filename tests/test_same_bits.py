@@ -1,21 +1,11 @@
 """Every invocation of the same-bits corpus keeps the exit code, stdout and
 stderr recorded in the manifest (see scripts/same_bits_corpus.py)."""
 
-import importlib.util
-from pathlib import Path
-
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "same_bits_corpus.py"
-
-
-def load_corpus():
-    spec = importlib.util.spec_from_file_location("same_bits_corpus", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_same_bits_corpus
 
 
 def test_every_invocation_keeps_its_bits(tmp_path):
-    corpus = load_corpus()
+    corpus = load_same_bits_corpus()
     recorded = corpus.MANIFEST.read_text(encoding="utf-8").splitlines()
     header = [line for line in recorded if line.startswith("#")]
     # versions and the BLAS core: a mismatch names both sides in one line,

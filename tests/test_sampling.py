@@ -5,10 +5,12 @@ from sensor_shapley import (
     LtiModel,
     Sensor,
     ValueFunctionKind,
+    pack_masks,
     per_sensor_gramians,
     shapley_exact,
     shapley_sampled,
 )
+from sensor_shapley.shapley import _unique_rows
 
 from conftest import make_random_model
 
@@ -137,3 +139,20 @@ class TestWideSensorSets:
             rng = np.random.default_rng(p)
             successive = np.array([rng.permutation(p) for _ in range(30)])
             np.testing.assert_array_equal(batched, successive)
+
+
+class TestUniqueRows:
+    @pytest.mark.parametrize("p, count", [(4, 50000), (40, 3000), (70, 3000)])
+    def test_matches_numpy_unique_rows(self, p, count):
+        # p = 4 and 40 fit one mask word, p = 70 needs two; rows drawn from
+        # a smaller pool repeat, and half the pool shares its first word
+        rng = np.random.default_rng(p)
+        pool = rng.random((count // 4, p)) < rng.uniform(0.05, 0.95, (count // 4, 1))
+        pool[::2, :64] = pool[0, :64]
+        words = pack_masks(pool[rng.integers(0, len(pool), count)])
+        rows, inverse = _unique_rows(words)
+        want_rows, want_inverse = np.unique(words, axis=0, return_inverse=True)
+        assert words.shape[1] == (1 if p <= 64 else 2)
+        assert rows.tobytes() == want_rows.tobytes()
+        assert inverse.tobytes() == want_inverse.ravel().astype(np.intp).tobytes()
+        assert len(rows) < count
