@@ -22,10 +22,14 @@ picked at load time, since the bits of the eigen-solves and of ``np.dot``
 depend on all three.
 
 ``tests/test_same_bits.py`` re-runs the corpus and names every id whose line
-differs. After a deliberate behaviour change, rewrite the manifest from the
-repository root and list the ids that changed in CHANGES.md:
+differs, once on the core OpenBLAS picks, against
+``tests/same_bits_manifest.txt``, and once in a child process pinned to the
+Haswell kernel, against ``tests/same_bits_manifest.Haswell.txt``. After a
+deliberate behaviour change, rewrite both from the repository root and list
+the ids that changed in CHANGES.md:
 
     PYTHONPATH=src python3 scripts/same_bits_corpus.py
+    OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python3 scripts/same_bits_corpus.py
 """
 
 import contextlib
@@ -33,6 +37,7 @@ import ctypes
 import hashlib
 import io
 import json
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -322,11 +327,21 @@ def header() -> list[str]:
     ]
 
 
+def manifest_path() -> Path:
+    """This run's manifest: ``MANIFEST`` for the core OpenBLAS picks, or,
+    with a core pinned by ``OPENBLAS_CORETYPE``, the manifest named after
+    it, such as ``tests/same_bits_manifest.Haswell.txt``."""
+    if "OPENBLAS_CORETYPE" not in os.environ:
+        return MANIFEST
+    return MANIFEST.with_name(f"same_bits_manifest.{blas_core()}.txt")
+
+
 def write_manifest() -> None:
+    path = manifest_path()
     with tempfile.TemporaryDirectory() as directory:
         lines = manifest_lines(Path(directory))
-    MANIFEST.write_text("\n".join(header() + lines) + "\n", encoding="utf-8")
-    print(f"wrote {MANIFEST} ({len(lines)} invocations)")
+    path.write_text("\n".join(header() + lines) + "\n", encoding="utf-8")
+    print(f"wrote {path} ({len(lines)} invocations)")
 
 
 if __name__ == "__main__":

@@ -5,11 +5,12 @@ For each sensor count p in 25, 40, 70 and 100, a seeded random model with
 n = 6 states and h = 10 samples (the sizes of perfbench's ``sampled-wide``
 workload) gets 100 seeded sensor orderings. Their distinct prefix coalitions
 are packed into bitmask words, as ``shapley_sampled`` values them. The script
-prints, per p, the median wall time of ``coalition_gramians`` (the sums alone)
-and of ``coalition_values(bank, MIN_EIGENVALUE, masks)`` (sums plus
-eigen-solves), the tracemalloc peak of one ``values`` call, and the sha256
-of the values, so that two checkouts can be compared for speed, working
-memory and identical bits.
+prints, per p, the median wall time of the entry-major sums of whole bank
+entries (``metrics._coalition_sums``, the sums alone) and of
+``coalition_values(bank, MIN_EIGENVALUE, masks)`` (sums of the lower
+triangles plus eigen-solves), the tracemalloc peak of one ``values`` call,
+and the sha256 of the values, so that two checkouts can be compared for
+speed, working memory and identical bits.
 
 Run from the repository root:
 
@@ -27,9 +28,9 @@ from sensor_shapley import (
     LtiModel,
     Sensor,
     ValueFunctionKind,
-    coalition_gramians,
     coalition_values,
     pack_masks,
+    metrics,
     per_sensor_gramians,
 )
 
@@ -66,7 +67,8 @@ def main() -> None:
     kind = ValueFunctionKind.MIN_EIGENVALUE
     for p in SENSOR_COUNTS:
         bank, masks = prefix_batch(p)
-        sums = median_ms(lambda: coalition_gramians(bank, masks))
+        entries = bank.reshape(p, -1)
+        sums = median_ms(lambda: metrics._coalition_sums(entries, masks))
         values_ms = median_ms(lambda: coalition_values(bank, kind, masks))
         tracemalloc.start()
         values = coalition_values(bank, kind, masks)

@@ -38,16 +38,14 @@ import numpy as np
 
 from sensor_shapley import (
     AttributionMethod,
-    AttributionResult,
     LtiModel,
     Sensor,
     ValueFunctionKind,
     coalition_values,
     per_sensor_gramians,
-    shapley_from_table,
     verify_axioms,
 )
-from sensor_shapley.gramian import full_gramian
+from sensor_shapley.shapley import _attribution, shapley_from_table
 
 SIZES = (("trace", 16), ("trace", 20), ("trace", 22), ("trace", 24),
          ("min-eig", 16), ("min-eig", 20))
@@ -81,19 +79,9 @@ def timed_passes(kind: ValueFunctionKind, model: LtiModel):
     tracemalloc.stop()
 
     # the result shapley_exact builds from the same table and values
-    grand = float(table[-1])
-    result = AttributionResult(
-        sensor_names=tuple(s.name for s in model.sensors),
-        standalone_values=table[1 << np.arange(p)],
-        shapley_values=phi,
-        grand_value=grand,
-        efficiency_residual=abs(float(phi.sum()) - grand),
-        metric=kind,
-        horizon_samples=model.horizon_samples,
-        method=AttributionMethod("exact"),
-        grand_gramian=full_gramian(bank),
-        values_by_bitmask=table,
-    )
+    singles = table[1 << np.arange(p)]
+    method = AttributionMethod("exact")
+    result = _attribution(model, kind, bank, method, phi, singles, table[-1], table)
     start = time.perf_counter()
     verify_axioms(result)
     axioms_s = time.perf_counter() - start

@@ -29,11 +29,10 @@ import numpy as np
 from .gramian import (
     _eigenvalues,
     _observable,
-    full_gramian,
     is_observable,
     per_sensor_gramians,
 )
-from .metrics import ValueFunctionKind, evaluate
+from .metrics import ValueFunctionKind, evaluate, full_gramian
 from .model import EnumerationCapExceeded
 from .report import (
     ModelDocument,

@@ -15,11 +15,19 @@ observability have singular Gramians, where it is undefined.
 Each metric names what it reads of a Gramian: the trace its diagonal, the
 minimum eigenvalue its lower triangle (all that ``eigvalsh`` reads). The
 exact value table and the sampler's prefix coalitions sum only those
-entries of the bank, entry-major (see ``gramian``), then the trace sums a
-row-major ``(k, n)`` copy over its rows, as ``np.trace`` does (pairwise from
-n = 8, so a column sum would move bits), and the minimum eigenvalue
-scatters the triangles into zeroed ``(k, n, n)`` matrices: the bits of the
-metric on full Gramians. The empty coalition is worth 0 for both metrics.
+entries of the bank, entry-major: ``(e, k)``, row r holding entry r of all
+k sums. A batch of k starts from a partial table over the lowest c sensors,
+2^(c-1) <= k < 2^c; each higher sensor is then one contiguous pass that adds
+its entries, or +0.0 for coalitions without it, chosen by a bitwise AND of
+their int64 view with an all-ones or all-zeros word from the mask words.
+Sums start from +0.0, so are never -0.0, and x + 0.0 keeps every other x,
+inf and NaN too: the bits of adding members one at a time (a 0/1 multiply
+would not be exact: inf * 0 is NaN). The working set is at most three times
+the output. Then the trace sums a row-major ``(k, n)`` copy over its rows,
+as ``np.trace`` does (pairwise from n = 8, so a column sum would move bits),
+and the minimum eigenvalue scatters the triangles into zeroed ``(k, n, n)``
+matrices: the bits of the metric on full Gramians. The empty coalition is
+worth 0 for both metrics.
 """
 
 from __future__ import annotations
@@ -29,13 +37,15 @@ from enum import Enum
 
 import numpy as np
 
-from .gramian import _coalition_sums, _eigenvalues, _low_table, per_sensor_gramians
+from .gramian import _eigenvalues, per_sensor_gramians
 from .model import LtiModel, require_enumerable
 
 __all__ = [
     "ValueFunctionKind",
     "coalition_values",
     "evaluate",
+    "full_gramian",
+    "pack_masks",
     "value_table",
 ]
 
@@ -135,18 +145,92 @@ def _finish(
     return _eigenvalues(read)[:, 0].copy()
 
 
+def pack_masks(members: np.ndarray) -> np.ndarray:
+    """Pack a ``(k, p)`` boolean membership matrix into ``(k, w)`` uint64
+    bitmask words, w = ceil(p / 64), sensor i at bit i % 64 of word i // 64:
+    the encoding ``coalition_values`` takes for any sensor count."""
+    members = np.asarray(members, dtype=bool)
+    k, p = members.shape
+    padded = np.zeros((k, -(-p // 64) * 64), dtype=bool)
+    padded[:, :p] = members
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
+def _mask_words(masks, sensor_count: int) -> np.ndarray:
+    # (w, k) uint64 words, row j holding bits 64j..64j+63 of every
+    # coalition, from bitmasks as coalition_values takes them.
+    words = np.asarray(masks)
+    if words.ndim == 1:
+        words = words[:, None]
+    words = np.ascontiguousarray(words.T, dtype=np.uint64)
+    union = np.bitwise_or.reduce(words, axis=1)
+    extra = sum(int(word) << 64 * j for j, word in enumerate(union)) >> sensor_count
+    if extra:
+        raise ValueError(
+            f"coalition references sensor index "
+            f"{sensor_count + (extra & -extra).bit_length() - 1} "
+            f"but only {sensor_count} sensors exist"
+        )
+    return words
+
+
+def _low_table(entries: np.ndarray, c: int) -> np.ndarray:
+    # The (e, 2^c) sums of (p, e) per-sensor entries over sensors 0..c-1,
+    # column m the coalition of bitmask m, by the highest-set-bit recursion
+    # W[:, 2^i : 2^(i+1)] = W[:, :2^i] + G[i]: each column is its members
+    # summed in ascending index from +0.0.
+    low = np.zeros((entries.shape[1], 1 << c))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(c):
+            np.add(low[:, : 1 << i], entries[i, :, None], out=low[:, 1 << i : 2 << i])
+    return low
+
+
+def _coalition_sums(entries: np.ndarray, masks) -> np.ndarray:
+    # The entry-major (e, k) sums of (p, e) per-sensor entries over bitmasks.
+    entries = np.ascontiguousarray(entries, dtype=np.float64)
+    p = entries.shape[0]
+    words = _mask_words(masks, p)
+    k = words.shape[1]
+    c = min(p, k.bit_length())
+    sums = np.take(_low_table(entries, c), words[0] & ((1 << c) - 1), axis=1)
+    bits = entries.view(np.int64)
+    select = np.empty(k, dtype=np.uint64)
+    addend = np.empty_like(sums)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(c, p):
+            # bit i moved to the sign bit and spread: all ones for members
+            np.left_shift(words[i >> 6], 63 - (i & 63), out=select)
+            np.right_shift(select.view(np.int64), 63, out=select.view(np.int64))
+            np.bitwise_and(
+                bits[i, :, None], select.view(np.int64), out=addend.view(np.int64)
+            )
+            np.add(sums, addend, out=sums)
+    return sums
+
+
+def full_gramian(bank: np.ndarray) -> np.ndarray:
+    """The full-coalition Gramian: the bank summed in ascending sensor index,
+    the bits of the coalition sums for the all-members mask, as a fresh
+    array the caller owns."""
+    out = np.zeros(bank.shape[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for gram in bank:
+            out += gram
+    return out
+
+
 def coalition_values(
     bank: np.ndarray, kind: ValueFunctionKind, masks: np.ndarray | None = None
 ) -> np.ndarray:
     """The metric on each coalition of a batch of membership bitmasks.
 
-    ``masks`` is encoded as for
-    :func:`~sensor_shapley.gramian.coalition_gramians`. Without ``masks``,
-    every one of the 2^p coalitions is valued and the result is the
-    read-only table indexed by bitmask, with the empty coalition at exactly
-    0. Only the bank entries the metric reads are summed, in chunks of
-    bounded memory; the values have the bits of ``evaluate`` on the
-    coalitions' full Gramians.
+    ``masks`` is a ``(k,)`` integer array (under 64 sensors) or ``(k, w)``
+    ``pack_masks`` words (any sensor count). Without ``masks``, every one of
+    the 2^p coalitions is valued and the result is the read-only table
+    indexed by bitmask, with the empty coalition at exactly 0. Only the bank
+    entries the metric reads are summed, in chunks of bounded memory; the
+    values have the bits of ``evaluate`` on the coalitions' full Gramians.
     """
     p, n = len(bank), bank.shape[-1]
     chunk = max(1, _CHUNK_BYTES // (8 * n * n))

@@ -32,8 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gramian import full_gramian, pack_masks, per_sensor_gramians
-from .metrics import ValueFunctionKind, coalition_values, evaluate
+from .gramian import per_sensor_gramians
+from .metrics import (
+    ValueFunctionKind,
+    coalition_values,
+    evaluate,
+    full_gramian,
+    pack_masks,
+)
 from .model import LtiModel, _shown, require_enumerable
 
 __all__ = [

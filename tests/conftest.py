@@ -6,7 +6,7 @@ import pytest
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sensor_shapley import ENUMERATION_CAP, LtiModel, Sensor
+from sensor_shapley import ENUMERATION_CAP, LtiModel, Sensor, metrics
 from sensor_shapley.scenarios import scenario_document
 
 
@@ -80,14 +80,19 @@ def ascending_sums(bank, members):
     return sums
 
 
-SAME_BITS_SCRIPT = (
-    Path(__file__).resolve().parent.parent / "scripts" / "same_bits_corpus.py"
-)
+def coalition_gramians(bank, masks):
+    """Stacked ``(k, n, n)`` Gramians of a batch of bitmasks: the package's
+    entry-major coalition sums over whole bank entries, made coalition-major."""
+    sums = metrics._coalition_sums(bank.reshape(len(bank), -1), masks)
+    return np.ascontiguousarray(sums.T).reshape((-1,) + bank.shape[1:])
 
 
-def load_same_bits_corpus():
-    """scripts/same_bits_corpus.py as a module."""
-    spec = importlib.util.spec_from_file_location("same_bits_corpus", SAME_BITS_SCRIPT)
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    """scripts/<name>.py as a module."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -98,7 +103,7 @@ def blas_cores() -> str:
     records, for the failure message of a golden comparison: min-eig and
     Shapley digits depend on the core, so a machine with another kernel
     reads as this one line rather than as a diff of digits."""
-    corpus = load_same_bits_corpus()
+    corpus = load_script("same_bits_corpus")
     prefix = "# blas core "
     lines = corpus.MANIFEST.read_text(encoding="utf-8").splitlines()
     recorded = [line[len(prefix) :] for line in lines if line.startswith(prefix)]

@@ -16,19 +16,22 @@ import pytest
 
 from sensor_shapley import (
     ValueFunctionKind,
-    coalition_gramians,
     per_sensor_gramians,
     shapley_exact,
-    shapley_from_table,
     shapley_permutation_oracle,
     shapley_sampled,
     value_table,
 )
 from sensor_shapley.cli import main
 from sensor_shapley.model import LtiModel, Sensor
-from sensor_shapley.shapley import _observability_matrix
+from sensor_shapley.shapley import _observability_matrix, shapley_from_table
 
-from conftest import attribution_corpus, blas_cores, gramian_corpus
+from conftest import (
+    attribution_corpus,
+    blas_cores,
+    coalition_gramians,
+    gramian_corpus,
+)
 from oracles import gramian_direct
 
 TRACE = ValueFunctionKind.TRACE

@@ -1,8 +1,11 @@
 """Every name a module lists in ``__all__`` resolves. A stale entry raises
-nothing on a plain import, only when someone runs ``from module import *``."""
+nothing on a plain import, only when someone runs ``from module import *``.
+And README.md documents every name the top level exports."""
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -18,4 +21,14 @@ MODULES = ["sensor_shapley"] + [
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [export for export in module.__all__ if not hasattr(module, export)]
+    assert not missing
+
+
+def test_every_top_level_name_is_in_the_readme():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    missing = [
+        name
+        for name in sensor_shapley.__all__
+        if not re.search(rf"\b{name}\b", readme)
+    ]
     assert not missing

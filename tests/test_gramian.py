@@ -8,17 +8,18 @@ from sensor_shapley import (
     LtiModel,
     Sensor,
     ValueFunctionKind,
-    coalition_gramians,
+    coalition_values,
     is_observable,
     pack_masks,
     per_sensor_gramians,
     shapley_exact,
 )
-from sensor_shapley import gramian
+from sensor_shapley import gramian, metrics
 from sensor_shapley.shapley import _observability_matrix as observability_matrix
 
 from conftest import (
     ascending_sums,
+    coalition_gramians,
     gramian_corpus,
     lti_models,
     make_random_model,
@@ -230,11 +231,16 @@ class TestCoalitionGramian:
     def test_full_gramian_matches_the_all_members_mask_bit_for_bit(self):
         banks = [per_sensor_gramians(m) for m in gramian_corpus(20, seed=4343)]
         banks.append(np.array([[[1e308]], [[1e308]], [[-np.inf]]]))  # inf, nan
+        # 40 members of 1x1 entries: numpy reduces a contiguous axis
+        # pairwise, so a one-call sum over the bank would move bits here
+        rng = np.random.default_rng(4344)
+        for shape in ((40, 1, 1), (40, 2, 2)):
+            banks.append(rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape))
         for bank in banks:
             full = pack_masks(np.ones((1, len(bank)), dtype=bool))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = gramian.full_gramian(bank)
+                got = metrics.full_gramian(bank)
             assert got.tobytes() == coalition_gramians(bank, full)[0].tobytes()
 
     def test_packed_words_match_integer_masks(self, scenario2_model):
@@ -301,8 +307,8 @@ class TestGramianType:
 
 class TestOwnership:
     """Who may write each Gramian array: the bank and a result's grand
-    Gramian are shared and read-only; batch sums and ``full_gramian`` are
-    fresh arrays the caller owns."""
+    Gramian are shared and read-only; batch sums, batch values and
+    ``full_gramian`` are fresh arrays the caller owns."""
 
     def test_bank_and_grand_gramian_are_read_only(self, scenario2_model):
         bank = per_sensor_gramians(scenario2_model)
@@ -319,7 +325,8 @@ class TestOwnership:
         owned = [
             coalition_gramians(bank, np.array([15, 1, 0])),
             coalition_gramians(bank, pack_masks(np.eye(4, dtype=bool))),
-            gramian.full_gramian(bank),
+            coalition_values(bank, ValueFunctionKind.TRACE, np.array([15, 1, 0])),
+            metrics.full_gramian(bank),
         ]
         for array in owned:
             assert array.flags.writeable and array.flags.c_contiguous
@@ -381,7 +388,7 @@ class TestGramianIdentities:
 
 class TestIsObservable:
     def test_full_coalition_observable(self, scenario1_model):
-        g = gramian.full_gramian(per_sensor_gramians(scenario1_model))
+        g = metrics.full_gramian(per_sensor_gramians(scenario1_model))
         assert is_observable(g) is True
 
     def test_single_sensor_not_observable(self, scenario1_model):
@@ -399,7 +406,7 @@ class TestIsObservable:
         assert verdicts.tolist() == [True, True, False, True, False]
 
     def test_explicit_tolerance(self, scenario1_model):
-        g = gramian.full_gramian(per_sensor_gramians(scenario1_model))
+        g = metrics.full_gramian(per_sensor_gramians(scenario1_model))
         assert is_observable(g, tol=1.0)
         assert not is_observable(g, tol=25.0)
         with pytest.raises(ValueError, match="positive"):
@@ -407,7 +414,7 @@ class TestIsObservable:
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
     def test_non_finite_tolerance_rejected(self, scenario1_model, tol):
-        g = gramian.full_gramian(per_sensor_gramians(scenario1_model))
+        g = metrics.full_gramian(per_sensor_gramians(scenario1_model))
         with pytest.raises(ValueError, match="positive and finite"):
             is_observable(g, tol=tol)
 

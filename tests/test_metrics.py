@@ -9,7 +9,6 @@ from sensor_shapley import (
     LtiModel,
     Sensor,
     ValueFunctionKind,
-    coalition_gramians,
     coalition_values,
     evaluate,
     metrics,
@@ -20,6 +19,7 @@ from sensor_shapley import (
 
 from conftest import (
     ascending_sums,
+    coalition_gramians,
     gramian_corpus,
     lti_models,
     over_the_cap_model,

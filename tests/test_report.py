@@ -5,8 +5,6 @@ import pytest
 
 from sensor_shapley import (
     LtiModel,
-    ModelDocument,
-    ModelDocumentError,
     Sensor,
     ValueFunctionKind,
     is_observable,
@@ -14,12 +12,12 @@ from sensor_shapley import (
     render_json,
     render_model_document,
     render_table,
-    scenario_document,
     shapley_exact,
     shapley_sampled,
     verify_axioms,
 )
-from sensor_shapley.scenarios import emit_scenarios
+from sensor_shapley.report import ModelDocument, ModelDocumentError
+from sensor_shapley.scenarios import emit_scenarios, scenario_document
 
 from conftest import attribution_corpus
 from report_pins import PINNED_REPORTS

@@ -12,12 +12,12 @@ from sensor_shapley import (
     ValueFunctionKind,
     per_sensor_gramians,
     shapley_exact,
-    shapley_from_table,
     shapley_permutation_oracle,
     shapley_sampled,
     value_table,
 )
 from sensor_shapley import shapley
+from sensor_shapley.shapley import shapley_from_table
 
 from conftest import attribution_corpus, over_the_cap_model
 
