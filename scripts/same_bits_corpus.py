@@ -145,7 +145,8 @@ REJECTED_DOCUMENTS = {
 EDGE_MODELS = {
     # A^800 overflows: refused when the bank is built, naming the sensor
     "unstable-overflow": payload([[3.0]], [[1.0]], 800),
-    # a sensor blind to the unstable mode is refused too: 0 * inf in c A^k
+    # A^800 overflows for both sensors, but only s1 sees the unstable mode:
+    # s0's Gramian is rebuilt from its own row, and the error names s1
     "unstable-blind-sensor": payload(
         [[3.0, 0.0], [0.0, 0.5]], [[0.0, 1.0], [1.0, 0.0]], 800
     ),

@@ -38,9 +38,9 @@ SENSOR_COUNTS = (25, 40, 70, 100)
 STATES, HORIZON, PERMUTATIONS, REPEATS = 6, 10, 100, 15
 
 
-def prefix_batch(p: int) -> tuple[np.ndarray, np.ndarray]:
-    # The bank of a seeded stable model and the distinct prefix coalitions
-    # of seeded orderings, as (k, w) uint64 words.
+def prefix_batch(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The bank of a seeded stable model, seeded (N, p) orderings and their
+    # distinct prefix coalitions, as (k, w) uint64 words.
     rng = np.random.default_rng(p)
     a = rng.standard_normal((STATES, STATES))
     a /= 1.1 * np.max(np.abs(np.linalg.eigvals(a)))
@@ -51,7 +51,8 @@ def prefix_batch(p: int) -> tuple[np.ndarray, np.ndarray]:
     orderings = rng.permuted(np.tile(np.arange(p), (PERMUTATIONS, 1)), axis=1)
     singles = pack_masks(np.eye(p, dtype=bool))
     prefixes = np.bitwise_or.accumulate(singles[orderings], axis=1)
-    return bank, np.unique(prefixes.reshape(-1, singles.shape[1]), axis=0)
+    masks = np.unique(prefixes.reshape(-1, singles.shape[1]), axis=0)
+    return bank, orderings, masks
 
 
 def median_ms(call) -> float:
@@ -63,22 +64,29 @@ def median_ms(call) -> float:
     return 1e3 * statistics.median(times)
 
 
-def main() -> None:
+def timed_batch(p: int):
+    # The batch size, the median sums and values times, the tracemalloc peak
+    # of one values call and the sha256 of the values, at p sensors.
     kind = ValueFunctionKind.MIN_EIGENVALUE
+    bank, _, masks = prefix_batch(p)
+    entries = bank.reshape(p, -1)
+    sums_ms = median_ms(lambda: metrics._coalition_sums(entries, masks))
+    values_ms = median_ms(lambda: coalition_values(bank, kind, masks))
+    tracemalloc.start()
+    values = coalition_values(bank, kind, masks)
+    peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
+    digest = hashlib.sha256(values.tobytes()).hexdigest()
+    return len(masks), sums_ms, values_ms, peak_mb, digest
+
+
+def main() -> None:
     for p in SENSOR_COUNTS:
-        bank, masks = prefix_batch(p)
-        entries = bank.reshape(p, -1)
-        sums = median_ms(lambda: metrics._coalition_sums(entries, masks))
-        values_ms = median_ms(lambda: coalition_values(bank, kind, masks))
-        tracemalloc.start()
-        values = coalition_values(bank, kind, masks)
-        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
-        tracemalloc.stop()
-        digest = hashlib.sha256(values.tobytes())
+        count, sums_ms, values_ms, peak_mb, digest = timed_batch(p)
         print(
-            f"p={p:<4d} masks={len(masks):<6d} sums {sums:7.2f} ms  "
+            f"p={p:<4d} masks={count:<6d} sums {sums_ms:7.2f} ms  "
             f"values {values_ms:7.2f} ms  peak {peak_mb:5.2f} MB  "
-            f"sha256 {digest.hexdigest()}"
+            f"sha256 {digest}"
         )
 
 

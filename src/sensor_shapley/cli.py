@@ -109,8 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_model_source(analyze)
     analyze.add_argument(
         "--metric",
-        choices=[k.cli_name for k in ValueFunctionKind],
-        default=ValueFunctionKind.MIN_EIGENVALUE.cli_name,
+        choices=[k.value for k in ValueFunctionKind],
+        default=ValueFunctionKind.MIN_EIGENVALUE.value,
         help="observability degree metric (default: min-eig)",
     )
     analyze.add_argument(

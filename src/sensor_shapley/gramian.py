@@ -13,11 +13,14 @@ makes coalition values cheap, and it is the only way W_S is built here: the
 bank of per-sensor Gramians is built once (``per_sensor_gramians``, a
 ``(p, n, n)`` array, from one power chain of A^k) and ``metrics`` sums its
 members for any batch of coalitions. Overflow is caught when the bank is
-built, naming the sensor. The PSD rule (``_eigenvalues``) runs on the bank,
-in the min-eig metric, which also catches non-finite coalition sums, in
-``is_observable`` and on the stack ``check`` prints. Symmetry holds by
-construction: entries (i, j) and (j, i) are the same products added in the
-same order, so they are never checked or symmetrized.
+built: a sensor whose slot the power chain leaves non-finite (A^k overflows
+even where c_i A^k does not) is rebuilt from its own row, and the model is
+refused, naming the sensor, only if that overflows too. The PSD rule
+(``_eigenvalues``) runs on the bank, in the min-eig metric, which also
+catches non-finite coalition sums, in ``is_observable`` and on the stack
+``check`` prints. Symmetry holds by construction: entries (i, j) and (j, i)
+are the same products added in the same order, so they are never checked or
+symmetrized.
 
 The system is observable over the window iff the full-coalition Gramian is
 positive definite, i.e. its minimum eigenvalue is strictly positive.
@@ -66,9 +69,10 @@ def per_sensor_gramians(model: LtiModel) -> np.ndarray:
     ``(p, n, n)`` array index-aligned with the model's sensors.
 
     Each step of one power chain adds the outer product of c_i A^k with
-    itself to sensor i's slot. Dynamics that overflow within the window are
-    rejected with a ``ValueError`` naming the sensor and the horizon; the
-    members then pass the PSD check as one stack.
+    itself to sensor i's slot. A slot the chain leaves non-finite is rebuilt
+    by propagating c_i alone; if that overflows too within the window, the
+    model is rejected with a ``ValueError`` naming the sensor and the
+    horizon. The members then pass the PSD check as one stack.
     """
     n, h = model.state_dimension, model.horizon_samples
     rows = [sensor.row[None, :] for sensor in model.sensors]
@@ -80,13 +84,20 @@ def per_sensor_gramians(model: LtiModel) -> np.ndarray:
                 block = row @ power
                 slot += block.T * block
             power = power @ model.state_matrix
-    bad = np.flatnonzero(~np.isfinite(bank).all(axis=(1, 2)))
-    if bad.size:
-        raise ValueError(
-            f"Gramian of sensor {_shown(model.sensors[bad[0]].name)} overflows to "
-            f"non-finite values over {h} samples: the dynamics grow too fast "
-            f"for this horizon"
-        )
+        # Once a power of A overflows, inf * 0 spreads NaN into every slot,
+        # also those of sensors blind to the growing mode.
+        for i in np.flatnonzero(~np.isfinite(bank).all(axis=(1, 2))):
+            slot, block = np.zeros((n, n)), rows[i]
+            for _ in range(h):
+                slot += block.T * block
+                block = block @ model.state_matrix
+            if not np.all(np.isfinite(slot)):
+                raise ValueError(
+                    f"Gramian of sensor {_shown(model.sensors[i].name)} overflows "
+                    f"to non-finite values over {h} samples: the dynamics grow "
+                    f"too fast for this horizon"
+                )
+            bank[i] = slot
     _eigenvalues(bank)
     bank.setflags(write=False)
     return bank

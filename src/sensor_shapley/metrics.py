@@ -63,17 +63,13 @@ class ValueFunctionKind(Enum):
 
     @classmethod
     def from_cli_name(cls, name: str) -> "ValueFunctionKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise ValueError(
-            f"unknown metric {name!r}; expected one of "
-            + ", ".join(repr(k.value) for k in cls)
-        )
-
-    @property
-    def cli_name(self) -> str:
-        return self.value
+        try:
+            return cls(name)
+        except ValueError:
+            raise ValueError(
+                f"unknown metric {name!r}; expected one of "
+                + ", ".join(repr(k.value) for k in cls)
+            ) from None
 
 
 def evaluate(kind: ValueFunctionKind, gramians: np.ndarray) -> np.ndarray:

@@ -227,7 +227,7 @@ def render_json(
         per_sensor.append(entry)
     payload = {
         "model_name": model_name,
-        "metric": result.metric.cli_name,
+        "metric": result.metric.value,
         "horizon_samples": result.horizon_samples,
         "method": method,
         "observable": observable,
@@ -252,7 +252,7 @@ def render_table(
     axioms: AxiomReport | None,
 ) -> str:
     """Human-readable table mirroring the standalone/Shapley column layout."""
-    metric = result.metric.cli_name
+    metric = result.metric.value
     header = ("Sensor", "Value Function", "Standalone Value", "Shapley Value")
     rows = [
         (name, metric, _fmt(standalone), _fmt(shapley))

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sensor_shapley import cli, model, shapley
+from sensor_shapley import LtiModel, Sensor, cli, model, per_sensor_gramians, shapley
 from sensor_shapley.cli import main
 
 from conftest import blas_cores
@@ -448,6 +448,27 @@ class TestAnalyzeErrors:
                 code, out, err = run(capsys, command, "--model", path)
             assert code == 2 and out == ""
             assert "sensor 'a'" in err and "800 samples" in err
+
+    def test_sensor_blind_to_the_unstable_mode_is_accepted(self, tmp_path, capsys):
+        # A^800 overflows, but the sensor's own outputs 0.5^k decay: its
+        # Gramian is sum_k 0.25^k = 4/3 on the stable state, 0 on the other
+        payload = {
+            "state_matrix": [[3.0, 0.0], [0.0, 0.5]],
+            "sensors": [{"name": "b", "row": [0.0, 1.0]}],
+            "horizon_samples": 800,
+        }
+        path = write_model(tmp_path, payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blind = LtiModel(np.diag([3.0, 0.5]), (Sensor("b", [0.0, 1.0]),), 800)
+            bank = per_sensor_gramians(blind)
+            np.testing.assert_allclose(
+                bank, [np.diag([0.0, 4.0 / 3.0])], rtol=1e-15, atol=0.0
+            )
+            code, out, err = run(capsys, "analyze", "--model", path)
+            assert code == 0 and err == "" and "b " in out
+            code, out, err = run(capsys, "check", "--model", path)
+            assert code == 1 and err == ""
 
 
 class TestNearTheFloatRange:

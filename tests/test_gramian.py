@@ -132,13 +132,16 @@ class TestPerSensorGramians:
         assert calls == [(4, 3, 3)]
 
     def test_overflowing_dynamics_name_sensor_and_horizon(self):
-        # the powers of A overflow, so even the first sensor's Gramian does
-        sensors = (Sensor("x1", [1.0, 0.0]), Sensor("x2", [0.0, 1.0]))
-        model = LtiModel(np.diag([3.0, 0.5]), sensors, 800)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="sensor 'x1' .* 800 samples"):
-                per_sensor_gramians(model)
+        # the powers of A overflow and spread NaN into every slot; the error
+        # names the sensor that sees the unstable mode, in either order, not
+        # the blind one whose outputs decay
+        seeing, blind = Sensor("x1", [1.0, 0.0]), Sensor("x2", [0.0, 1.0])
+        for sensors in ((seeing, blind), (blind, seeing)):
+            model = LtiModel(np.diag([3.0, 0.5]), sensors, 800)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="sensor 'x1' .* 800 samples"):
+                    per_sensor_gramians(model)
 
 
 class TestCoalitionGramian:

@@ -34,8 +34,8 @@ class TestValueFunctionKind:
     def test_cli_names_round_trip(self):
         assert ValueFunctionKind.from_cli_name("trace") is TRACE
         assert ValueFunctionKind.from_cli_name("min-eig") is MIN_EIG
-        assert TRACE.cli_name == "trace"
-        assert MIN_EIG.cli_name == "min-eig"
+        assert TRACE.value == "trace"
+        assert MIN_EIG.value == "min-eig"
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown metric"):

@@ -4,9 +4,16 @@ import hashlib
 import os
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from sensor_shapley import ValueFunctionKind, shapley_exact
+from sensor_shapley import (
+    ValueFunctionKind,
+    coalition_values,
+    pack_masks,
+    shapley_exact,
+)
+from sensor_shapley.shapley import _unique_rows
 
 from conftest import load_script
 
@@ -22,3 +29,18 @@ def test_time_exact_path_times_the_exact_passes(kind):
     want = hashlib.sha256(result.values_by_bitmask)
     want.update(result.shapley_values)
     assert digest == want.hexdigest()
+
+
+def test_time_coalition_sums_values_the_samplers_prefixes():
+    script = load_script("time_coalition_sums")
+    p = 5
+    bank, orderings, masks = script.prefix_batch(p)
+    # the distinct prefixes shapley_sampled values for the same orderings
+    singles = pack_masks(np.eye(p, dtype=bool))
+    prefixes = np.bitwise_or.accumulate(singles[orderings], axis=1)
+    want, _ = _unique_rows(prefixes.reshape(-1, singles.shape[1]))
+    np.testing.assert_array_equal(masks, want)
+    count, sums_ms, values_ms, peak_mb, digest = script.timed_batch(p)
+    assert count == len(want) and min(sums_ms, values_ms, peak_mb) >= 0.0
+    values = coalition_values(bank, ValueFunctionKind.MIN_EIGENVALUE, want)
+    assert digest == hashlib.sha256(values.tobytes()).hexdigest()
