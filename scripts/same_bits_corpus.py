@@ -6,7 +6,8 @@ invocations:
 
 * ``analyze`` as JSON and table, trace and min-eig, exact and sampled, on
   seeded models with p = 1..13 sensors, rows scaled over 1e-3..1e3, exact
-  zero entries, an all-zero sensor and a duplicated sensor row;
+  zero entries, an all-zero sensor and a duplicated sensor row, and exact
+  trace at p = 16;
 * p = 25, 40 and 70 sampled, and refused by the exact enumeration cap;
 * 13 sensors on 24 states, where the exact table adds high members to a
   partial table;
@@ -215,6 +216,11 @@ def invocations(directory: Path) -> list[tuple[str, list[str]]]:
                 ANALYZE_FORMS["trace-json"] + ["--horizon", str(horizon + 7)] + source,
             ),
         ]
+
+    # 2^15 coalitions without each sensor: the exact contraction adds its
+    # dot products in pieces, whatever the BLAS thread count
+    source = model_file("p16", json.dumps(random_payload(16, 16, 2, 5)))
+    runs.append(("p16-exact-trace-json", ANALYZE_FORMS["trace-json"] + source))
 
     for p in (25, 40, 70):
         source = model_file(f"p{p}", json.dumps(random_payload(p, p, 6, 10)))

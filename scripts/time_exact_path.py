@@ -17,9 +17,8 @@ Run from the repository root:
     PYTHONPATH=src python3 scripts/time_exact_path.py
 
 ``--size trace 20`` runs one size in the current process. BLAS runs on one
-thread, as in perfbench, unless the environment says otherwise; compare
-digests only between runs with the same thread count, because from p = 15
-the contraction's dot products split their sums across BLAS threads.
+thread, as in perfbench, unless the environment says otherwise; the digests
+do not depend on it.
 """
 
 import argparse

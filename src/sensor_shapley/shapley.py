@@ -26,6 +26,7 @@ table that result carries.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -69,6 +70,10 @@ _AXIOM_SAMPLE_SEED = 20_240_915
 _SCREEN = 4
 
 EFFICIENCY_RTOL = 1e-6
+# The contraction adds its dot products in pieces of this many values, left
+# to right: OpenBLAS runs a dot of 10^4 values or fewer on one thread, so the
+# bits do not depend on the BLAS thread count (one piece up to p = 14).
+_PIECE = 1 << 13
 
 
 class EfficiencyViolation(AssertionError):
@@ -153,7 +158,10 @@ def shapley_from_table(values_by_bitmask: np.ndarray, sensor_count: int) -> np.n
         # ascending order, [:, 1] the same ones with it.
         halves = values.reshape(-1, 2, 1 << i)
         np.subtract(halves[:, 1], halves[:, 0], out=marginals.reshape(-1, 1 << i))
-        phi[i] = np.dot(weighted, marginals)
+        phi[i] = np.dot(weighted[:_PIECE], marginals[:_PIECE])
+        for start in range(_PIECE, len(weighted), _PIECE):
+            piece = slice(start, start + _PIECE)
+            phi[i] += np.dot(weighted[piece], marginals[piece])
     return phi
 
 
@@ -247,21 +255,16 @@ def shapley_permutation_oracle(model: LtiModel, kind: ValueFunctionKind) -> np.n
             f"permutation oracle enumerates p! orderings and is limited to "
             f"{ORACLE_MAX_SENSORS} sensors, got {p}"
         )
-    cache: dict[int, float] = {0: 0.0}
 
+    @functools.cache
     def coalition_value(mask: int) -> float:
-        try:
-            return cache[mask]
-        except KeyError:
-            stacked = _observability_matrix(model, mask)
-            value = float(evaluate(kind, stacked.T @ stacked))
-            cache[mask] = value
-            return value
+        stacked = _observability_matrix(model, mask)
+        return float(evaluate(kind, stacked.T @ stacked))
 
     totals = np.zeros(p)
     for ordering in itertools.permutations(range(p)):
         mask = 0
-        previous = 0.0
+        previous = 0.0  # the empty coalition's value
         for i in ordering:
             mask |= 1 << i
             current = coalition_value(mask)
@@ -283,8 +286,9 @@ def shapley_sampled(
     ``rng.permutation(p)`` calls) and averages each sensor's marginal
     contribution along them, the estimator of Castro, Gomez & Tejada (2009).
     Prefix coalitions are packed bitmask words, so any sensor count works;
-    each distinct prefix is valued once, and the standalone values are the
-    metric on the bank itself. The per-ordering marginals telescope to the
+    each distinct prefix and one-member coalition is valued once, in one
+    batch, and the standalone values are that batch's one-member
+    coalitions. The per-ordering marginals telescope to the
     grand value, so the estimates sum to it up to accumulation rounding
     regardless of sample size. Results are bitwise reproducible for a fixed
     (model, metric, num_permutations, seed). A sensor whose marginals sum
@@ -303,9 +307,10 @@ def shapley_sampled(
     )
     singles = pack_masks(np.eye(p, dtype=bool))
     prefixes = np.bitwise_or.accumulate(singles[orderings], axis=1)
-    masks, inverse = _unique_rows(prefixes.reshape(-1, singles.shape[1]))
+    rows = np.concatenate([prefixes.reshape(-1, singles.shape[1]), singles])
+    masks, inverse = _unique_rows(rows)
     values = coalition_values(bank, kind, masks)
-    prefix_values = values[inverse].reshape(orderings.shape)
+    prefix_values = values[inverse[:-p]].reshape(orderings.shape)
 
     marginals = np.diff(prefix_values, axis=1, prepend=0.0)
     # bincount adds each sensor's marginals in row order, without warnings
@@ -321,7 +326,7 @@ def shapley_sampled(
     phi /= num_permutations
     method = AttributionMethod("permutation-sampling", num_permutations, seed)
     grand = prefix_values[0, -1]
-    standalone = evaluate(kind, bank)
+    standalone = values[inverse[-p:]]
     return _attribution(model, kind, bank, method, phi, standalone, grand)
 
 
@@ -376,17 +381,29 @@ class AxiomReport:
         )
 
 
-def _agreeing(values, first, second, tested) -> np.ndarray:
-    # Row r: v(S | first[r]) and v(S | second[r]) agree for every unskipped S
-    # of (bases, skip) = tested(rows, screen). The screen's few coalitions
-    # are read for every row, then all of them for the rows that agree on
-    # the few; a disagreement among the few is one among all.
+def _agreeing(values, pool, first, second, members) -> np.ndarray:
+    # Row r: v(S | first[r]) and v(S | second[r]) agree for every tested S
+    # holding no member. With pool None those are all such S: zero bits
+    # inserted at the members (a no-op at bit 0), lower first, into
+    # 0 .. 2^(p - members) - 1. Else they are the pool's, at most
+    # C(24, 2) * 4096 = 1.1M values. A screen, the top few or the pool's
+    # first _SCREEN << members, is read for every row, then all of them for
+    # the rows agreeing on it; a disagreement among the few is one among all.
     agreeing = np.ones(len(first), dtype=bool)
     rows = slice(None)
     for screen in (True, False):
-        bases, skip = tested(rows, screen)
-        a = values[bases | first[rows, None]]
-        b = values[bases | second[rows, None]]
+        bits = first[rows, None], second[rows, None]
+        if pool is None:
+            top = len(values) >> members
+            bases = np.arange(max(0, top - _SCREEN) if screen else 0, top)
+            for bit in bits:
+                low = bases & (bit - 1)
+                bases = (bases - low) << 1 | low
+            skip = False
+        else:
+            bases = pool[: _SCREEN << members] if screen else pool
+            skip = (bases & (bits[0] | bits[1])) != 0
+        a, b = (values[bases | bit] for bit in bits)
         tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
         agreeing[rows] = np.all((np.abs(a - b) <= tol) | skip, axis=1)
         rows = np.flatnonzero(agreeing)
@@ -420,36 +437,14 @@ def verify_axioms(result: AttributionResult) -> AxiomReport:
 
     # Pair j < k compares adding j with adding k, dummy j adding j with
     # adding nothing (bit 0), over the tested coalitions holding neither.
-    j, k = np.triu_indices(p, 1)
-    checks = [(1 << j, 1 << k), (1 << np.arange(p), np.zeros(p, dtype=np.int64))]
-    exhaustive = p <= AXIOM_EXHAUSTIVE_MAX_SENSORS
-    if not exhaustive:
+    pool = None
+    if p > AXIOM_EXHAUSTIVE_MAX_SENSORS:
         rng = np.random.default_rng(_AXIOM_SAMPLE_SEED)
         pool = rng.integers(0, 1 << p, size=AXIOM_SAMPLE_SIZE, dtype=np.int64)
-    agreeing = []
-    for members, (first, second) in zip((2, 1), checks):
-
-        def tested(rows, screen):
-            bits = first[rows, None], second[rows, None]
-            if exhaustive:
-                # Exactly those coalitions: zero bits inserted at the
-                # members, lower first (a no-op at bit 0), into
-                # 0 .. 2^(p - members) - 1; the screen takes the top ones.
-                top = len(values) >> members
-                bases = np.arange(max(0, top - _SCREEN) if screen else 0, top)
-                for bit in bits:
-                    low = bases & (bit - 1)
-                    bases = (bases - low) << 1 | low
-                return bases, False
-            # The pool, skipping the coalitions that hold a member. The
-            # screen reads its first _SCREEN << members entries, about
-            # _SCREEN per row; an array holds at most C(24, 2) * 4096 = 1.1M
-            # values.
-            bases = pool[: _SCREEN << members] if screen else pool
-            return bases, (bases & (bits[0] | bits[1])) != 0
-
-        agreeing.append(_agreeing(values, first, second, tested))
-    symmetric, dummy = agreeing
+    j, k = np.triu_indices(p, 1)
+    symmetric = _agreeing(values, pool, 1 << j, 1 << k, 2)
+    single, nothing = 1 << np.arange(p), np.zeros(p, dtype=np.int64)
+    dummy = _agreeing(values, pool, single, nothing, 1)
 
     symmetric_pairs = []
     for a, b in zip(j[symmetric], k[symmetric]):
@@ -464,5 +459,5 @@ def verify_axioms(result: AttributionResult) -> AxiomReport:
         efficiency=efficiency,
         symmetric_pairs=tuple(symmetric_pairs),
         dummy_sensors=tuple(dummy_sensors),
-        exhaustive=exhaustive,
+        exhaustive=pool is None,
     )

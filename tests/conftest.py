@@ -131,6 +131,34 @@ def lti_models(draw, max_states=4, max_sensors=5, max_horizon=8, scale=2.0):
     return LtiModel(state, sensors, horizon)
 
 
+@st.composite
+def edge_models(draw, max_states=4, max_sensors=5, max_horizon=1000):
+    """Models at the edges of the numerical contract: a marginally stable
+    (orthogonal) or a stable state matrix, horizons up to 1000, rows rescaled
+    over 1e-6..1e6, and near-duplicate rows (an earlier row plus noise of
+    order 1e-9 of its size)."""
+    n = draw(st.integers(1, max_states))
+    p = draw(st.integers(1, max_sensors))
+    horizon = draw(st.integers(1, max_horizon))
+    unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+    square = draw(hnp.arrays(np.float64, (n, n), elements=unit))
+    if draw(st.booleans()):
+        state = np.linalg.qr(square)[0]
+    else:
+        state = square * (0.95 / max(1.0, np.abs(square).sum(axis=1).max()))
+    rows = []
+    for _ in range(p):
+        row = draw(hnp.arrays(np.float64, (n,), elements=unit))
+        if rows and draw(st.booleans()):
+            base = rows[draw(st.integers(0, len(rows) - 1))]
+            row = base + 1e-9 * np.abs(base).max() * row
+        else:
+            row = row * 10.0 ** draw(st.floats(min_value=-6.0, max_value=6.0))
+        rows.append(row)
+    sensors = tuple(Sensor(f"s{i}", row) for i, row in enumerate(rows))
+    return LtiModel(state, sensors, horizon)
+
+
 @pytest.fixture(scope="session")
 def scenario1_model():
     return scenario_document(1).model

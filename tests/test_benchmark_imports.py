@@ -1,6 +1,6 @@
-"""The benchmark in perfbench/ and the scripts in scripts/ import names from
-the package; a change that removes one of them breaks the benchmark or a
-script without failing any other test."""
+"""The benchmark in perfbench/, its self-tests and the scripts in scripts/
+import names from the package; a change that removes one of them breaks the
+benchmark or a script without failing any other test."""
 
 import importlib
 import importlib.util
@@ -16,7 +16,8 @@ IMPORT = re.compile(r"from (sensor_shapley(?:\.\w+)*) import (\([^)]*\)|[\w ,]+)
 
 def benchmark_imports():
     found = []
-    for path in sorted([*ROOT.glob("perfbench/*.py"), *ROOT.glob("scripts/*.py")]):
+    globs = ("perfbench/*.py", "perfbench/selftest/*.py", "scripts/*.py")
+    for path in sorted(path for glob in globs for path in ROOT.glob(glob)):
         for module, names in IMPORT.findall(path.read_text(encoding="utf-8")):
             for name in names.strip("()").split(","):
                 name = name.split(" as ")[0].strip()
@@ -36,7 +37,9 @@ def resolves(module, name):
 
 def test_every_name_the_benchmark_imports_resolves():
     found = benchmark_imports()
-    assert found, "no package import found in perfbench/*.py or scripts/*.py"
+    assert found, "no package import found in perfbench/ or scripts/"
+    selftests = {path.parent for path, _, _ in found}
+    assert Path("perfbench/selftest") in selftests
     missing = [
         f"{path}: from {module} import {name}"
         for path, module, name in found

@@ -182,6 +182,21 @@ class TestWorkPerAnalyze:
         assert code == 0
         assert len(banks) == 1 and len(tables) == 1 and not oracle
 
+    def test_sampled_run_values_each_coalition_once(self, capsys, monkeypatch):
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        code, _, _ = run(capsys, "analyze", "--scenario", "2", "--sample", "50")
+        assert code == 0
+        # the bank's PSD check, the prefixes and one-member coalitions in one
+        # batch, then the verdict on the grand Gramian
+        assert calls == [(4, 3, 3), (15, 3, 3), (3, 3)]
+
 
 class TestAnalyzeErrors:
     def test_unreadable_model_file(self, capsys):

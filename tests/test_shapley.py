@@ -1,9 +1,16 @@
+import functools
 import itertools
 import math
+import operator
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from sensor_shapley import (
     EnumerationCapExceeded,
@@ -15,12 +22,14 @@ from sensor_shapley import (
     shapley_permutation_oracle,
     shapley_sampled,
     value_table,
+    verify_axioms,
 )
 from sensor_shapley import shapley
 from sensor_shapley.shapley import shapley_from_table
 
-from conftest import attribution_corpus, over_the_cap_model
+from conftest import attribution_corpus, edge_models, over_the_cap_model
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 TRACE = ValueFunctionKind.TRACE
 MIN_EIG = ValueFunctionKind.MIN_EIGENVALUE
 
@@ -216,6 +225,18 @@ class TestAxiomsByConstruction:
             np.testing.assert_allclose(combined, separate, atol=1e-8)
 
 
+class TestNumericalEdges:
+    @settings(max_examples=15, deadline=None)
+    @given(edge_models())
+    def test_exact_and_sampled_values_hold_at_the_edges(self, model):
+        for kind in (TRACE, MIN_EIG):
+            exact = shapley_exact(model, kind)
+            assert verify_axioms(exact).efficiency.passed
+            sampled = shapley_sampled(model, kind, 10, seed=0)
+            standalone = sampled.standalone_values.tobytes()
+            assert standalone == exact.standalone_values.tobytes()
+
+
 class TestShapleyFromTable:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="coalition values"):
@@ -238,6 +259,24 @@ class TestShapleyFromTable:
         got = shapley_from_table(values, p)
         assert got.tobytes() == shapley_from_table_oracle(values, p).tobytes()
 
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS reads its thread count when it loads, so each count needs
+        # a fresh interpreter; a dot of 2^15 values at p = 16 is threaded
+        path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+        printed = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(path)
+            child = subprocess.run(
+                [sys.executable, "-c", THREADED_CHILD],
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert child.returncode == 0, child.stderr
+            printed.append(child.stdout)
+        assert printed[0] == printed[1]
+
     def test_working_memory_is_at_most_one_and_a_half_tables(self):
         # at p = 20 the table is 8 MiB; the contraction may allocate at most
         # 1.5 times that on top of it
@@ -252,16 +291,33 @@ class TestShapleyFromTable:
         assert peak <= 1.5 * values.nbytes
 
 
+# Prints the bytes of shapley_from_table on a seeded p = 16 table, in hex.
+THREADED_CHILD = """
+import numpy as np
+from sensor_shapley.shapley import shapley_from_table
+values = np.random.default_rng(16).standard_normal(1 << 16)
+values[0] = 0.0
+print(shapley_from_table(values, 16).tobytes().hex())
+"""
+
+
 def shapley_from_table_oracle(values, p):
     """The mask-filter form of ``shapley_from_table``: each sensor filters
-    all 2^p masks for the coalitions without it."""
+    all 2^p masks for the coalitions without it, and adds the dot products
+    of ascending pieces of 2^13 of them left to right."""
     weights = np.array([1.0 / (p * math.comb(p - 1, s)) for s in range(p)])
     masks = np.arange(1 << p, dtype=np.int64)
     sizes = np.bitwise_count(masks).astype(np.int64)
     phi = np.empty(p)
+    piece = 1 << 13
     for i in range(p):
         bit = 1 << i
         without = masks[(masks & bit) == 0]
+        weighted = weights[sizes[without]]
         marginals = values[without | bit] - values[without]
-        phi[i] = np.dot(weights[sizes[without]], marginals)
+        dots = [
+            np.dot(weighted[start : start + piece], marginals[start : start + piece])
+            for start in range(0, len(without), piece)
+        ]
+        phi[i] = functools.reduce(operator.add, dots)
     return phi
