@@ -7,7 +7,8 @@ attributed exactly in a fresh interpreter, so that no size inherits another's
 heap. The three passes over the 2^p table are timed one by one: the value
 table (``coalition_values``), the contraction (``shapley_from_table``) and
 the axiom checks (``verify_axioms``). Per size the script prints the three
-times, the tracemalloc peak of the contraction, the process's peak resident
+times, the tracemalloc peak of a second contraction (the timed one runs
+untraced, as tracemalloc slows every allocation), the process's peak resident
 set (``ru_maxrss``) and the sha256 of the table followed by the Shapley
 values, so that two checkouts can be compared for speed, memory and
 identical bits.
@@ -61,8 +62,8 @@ def seeded_model(p: int) -> LtiModel:
 
 
 def timed_passes(kind: ValueFunctionKind, model: LtiModel):
-    # The table, the contraction and the axiom checks, each timed, and the
-    # contraction's tracemalloc peak.
+    # The table, the contraction and the axiom checks, each timed untraced,
+    # and the tracemalloc peak of a second contraction.
     p = model.sensor_count
     bank = per_sensor_gramians(model)
 
@@ -70,10 +71,13 @@ def timed_passes(kind: ValueFunctionKind, model: LtiModel):
     table = coalition_values(bank, kind)
     table_s = time.perf_counter() - start
 
-    tracemalloc.start()
     start = time.perf_counter()
     phi = shapley_from_table(table, p)
     contraction_s = time.perf_counter() - start
+    # a second, traced call for the peak: tracemalloc would charge its own
+    # bookkeeping of every allocation to the time
+    tracemalloc.start()
+    shapley_from_table(table, p)
     peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
     tracemalloc.stop()
 
@@ -91,7 +95,7 @@ def timed_passes(kind: ValueFunctionKind, model: LtiModel):
 
 
 def run_size(metric: str, p: int) -> None:
-    kind = ValueFunctionKind.from_cli_name(metric)
+    kind = ValueFunctionKind(metric)
     # a small warm-up pays the one-time costs (BLAS start-up, first calls)
     timed_passes(kind, seeded_model(4))
     table_s, contraction_s, axioms_s, peak_mb, digest = timed_passes(

@@ -168,7 +168,7 @@ def _load_document(args: argparse.Namespace) -> ModelDocument:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     model = doc.model
-    kind = ValueFunctionKind.from_cli_name(args.metric)
+    kind = ValueFunctionKind(args.metric)
     if args.sample is not None:
         result = shapley_sampled(model, kind, args.sample, args.seed)
         axioms = None

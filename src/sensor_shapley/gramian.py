@@ -15,12 +15,12 @@ bank of per-sensor Gramians is built once (``per_sensor_gramians``, a
 members for any batch of coalitions. Overflow is caught when the bank is
 built: a sensor whose slot the power chain leaves non-finite (A^k overflows
 even where c_i A^k does not) is rebuilt from its own row, and the model is
-refused, naming the sensor, only if that overflows too. The PSD rule
-(``_eigenvalues``) runs on the bank, in the min-eig metric, which also
-catches non-finite coalition sums, in ``is_observable`` and on the stack
-``check`` prints. Symmetry holds by construction: entries (i, j) and (j, i)
-are the same products added in the same order, so they are never checked or
-symmetrized.
+refused, naming the sensor, only if that overflows too. A Gramian is checked
+by the code that reads its eigenvalues: the PSD rule (``_eigenvalues``) runs
+in the min-eig metric, which also catches non-finite coalition sums, in
+``is_observable`` and on the stack ``check`` prints, never on the bank
+alone. Symmetry holds by construction: entries (i, j) and (j, i) are the
+same products added in the same order, so are never checked or symmetrized.
 
 The system is observable over the window iff the full-coalition Gramian is
 positive definite, i.e. its minimum eigenvalue is strictly positive.
@@ -72,7 +72,7 @@ def per_sensor_gramians(model: LtiModel) -> np.ndarray:
     itself to sensor i's slot. A slot the chain leaves non-finite is rebuilt
     by propagating c_i alone; if that overflows too within the window, the
     model is rejected with a ``ValueError`` naming the sensor and the
-    horizon. The members then pass the PSD check as one stack.
+    horizon. No member is eigen-solved here; see the module docstring.
     """
     n, h = model.state_dimension, model.horizon_samples
     rows = [sensor.row[None, :] for sensor in model.sensors]
@@ -94,11 +94,10 @@ def per_sensor_gramians(model: LtiModel) -> np.ndarray:
             if not np.all(np.isfinite(slot)):
                 raise ValueError(
                     f"Gramian of sensor {_shown(model.sensors[i].name)} overflows "
-                    f"to non-finite values over {h} samples: the dynamics grow "
-                    f"too fast for this horizon"
+                    f"to non-finite values over {h} samples: its squared outputs "
+                    f"pass the float range"
                 )
             bank[i] = slot
-    _eigenvalues(bank)
     bank.setflags(write=False)
     return bank
 

@@ -145,6 +145,19 @@ def counting(monkeypatch, module, name):
     return calls
 
 
+def eigen_solves(monkeypatch):
+    # The shape of every np.linalg.eigvalsh argument, in call order.
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
 def sensors_payload(count):
     return {
         "state_matrix": [[0.0, 1.0], [-1.0, 0.0]],
@@ -183,19 +196,27 @@ class TestWorkPerAnalyze:
         assert len(banks) == 1 and len(tables) == 1 and not oracle
 
     def test_sampled_run_values_each_coalition_once(self, capsys, monkeypatch):
-        calls = []
-        original = np.linalg.eigvalsh
-
-        def counted(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        calls = eigen_solves(monkeypatch)
         code, _, _ = run(capsys, "analyze", "--scenario", "2", "--sample", "50")
         assert code == 0
-        # the bank's PSD check, the prefixes and one-member coalitions in one
-        # batch, then the verdict on the grand Gramian
-        assert calls == [(4, 3, 3), (15, 3, 3), (3, 3)]
+        # the prefixes and one-member coalitions in one batch, then the
+        # verdict on the grand Gramian; the bank is not solved on its own
+        assert calls == [(15, 3, 3), (3, 3)]
+
+    @pytest.mark.parametrize(
+        "metric, want",
+        [("min-eig", [(16, 3, 3), (3, 3)]), ("trace", [(3, 3)])],
+        ids=["min-eig", "trace"],
+    )
+    def test_exact_run_solves_each_coalition_once(
+        self, capsys, monkeypatch, metric, want
+    ):
+        calls = eigen_solves(monkeypatch)
+        code, _, _ = run(capsys, "analyze", "--scenario", "2", "--metric", metric)
+        assert code == 0
+        # the min-eig table, then the verdict; the trace reads no eigenvalue
+        # but the verdict's
+        assert calls == want
 
 
 class TestAnalyzeErrors:
@@ -464,6 +485,35 @@ class TestAnalyzeErrors:
             assert code == 2 and out == ""
             assert "sensor 'a'" in err and "800 samples" in err
 
+    def test_overflowing_outputs_of_steady_dynamics_name_the_cause(
+        self, tmp_path, capsys
+    ):
+        # A = I does not grow; the rows' squares 1e400 pass the float range
+        payload = {
+            "state_matrix": [[1.0, 0.0], [0.0, 1.0]],
+            "sensors": [
+                {"name": "a", "row": [1e200, 0.0]},
+                {"name": "b", "row": [0.0, 1e200]},
+            ],
+            "horizon_samples": 3,
+        }
+        path = write_model(tmp_path, payload)
+        for argv in (
+            ("analyze", "--metric", "trace"),
+            ("analyze",),
+            ("analyze", "--sample", "5"),
+            ("check",),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(capsys, *argv, "--model", path)
+            assert code == 2 and out == ""
+            assert err == (
+                "sensor-shapley: error: Gramian of sensor 'a' overflows to "
+                "non-finite values over 3 samples: its squared outputs pass "
+                "the float range\n"
+            )
+
     def test_sensor_blind_to_the_unstable_mode_is_accepted(self, tmp_path, capsys):
         # A^800 overflows, but the sensor's own outputs 0.5^k decay: its
         # Gramian is sum_k 0.25^k = 4/3 on the stable state, 0 on the other
@@ -647,17 +697,10 @@ class TestCheck:
     def test_one_eigen_solve_for_verdicts_and_min_eigenvalues(
         self, capsys, monkeypatch
     ):
-        calls = []
-        original = np.linalg.eigvalsh
-
-        def counted(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        calls = eigen_solves(monkeypatch)
         code, _, _ = run(capsys, "check", "--scenario", "2")
         assert code == 0
-        assert calls == [(4, 3, 3), (5, 3, 3)]  # the bank, then the lines
+        assert calls == [(5, 3, 3)]  # the lines; the bank is not solved alone
 
     def test_complementary_pair(self, capsys):
         code, out, _ = run(capsys, "check", "--scenario", "1")
