@@ -12,10 +12,12 @@ of the single-sensor Gramians of the members of S. That additivity is what
 makes coalition values cheap, and it is the only way W_S is built here: the
 bank of per-sensor Gramians is built once (``per_sensor_gramians``, a
 ``(p, n, n)`` array, from one power chain of A^k) and ``metrics`` sums its
-members for any batch of coalitions. Overflow is caught when the bank is
-built: a sensor whose slot the power chain leaves non-finite (A^k overflows
-even where c_i A^k does not) is rebuilt from its own row, and the model is
-refused, naming the sensor, only if that overflows too. A Gramian is checked
+members for any batch of coalitions. The bank's p * h sensor-by-sample loop
+creates no array: each step writes into buffers made once per call, so it
+costs three ufunc calls. Overflow is caught when the bank is built: a sensor
+whose slot the power chain leaves non-finite (A^k overflows even where
+c_i A^k does not) is rebuilt from its own row, and the model is refused,
+naming the sensor, only if that overflows too. A Gramian is checked
 by the code that reads its eigenvalues: the PSD rule (``_eigenvalues``) runs
 in the min-eig metric, which also catches non-finite coalition sums, in
 ``is_observable`` and on the stack ``check`` prints, never on the bank
@@ -69,25 +71,38 @@ def per_sensor_gramians(model: LtiModel) -> np.ndarray:
     ``(p, n, n)`` array index-aligned with the model's sensors.
 
     Each step of one power chain adds the outer product of c_i A^k with
-    itself to sensor i's slot. A slot the chain leaves non-finite is rebuilt
-    by propagating c_i alone; if that overflows too within the window, the
-    model is rejected with a ``ValueError`` naming the sensor and the
-    horizon. No member is eigen-solved here; see the module docstring.
+    itself to sensor i's slot. The step writes ``c_i @ A^k`` into one
+    ``(1, n)`` buffer, that buffer's transposed view times the buffer into
+    one ``(n, n)`` buffer, and adds the latter to the slot in place. The
+    buffers, the view and the (row, slot) pairs are made once per call, so
+    the p * h steps create no array or view. The products, and the order of
+    the additions (ascending k from +0.0), are those of
+    ``slot += block.T * block``, bit for bit.
+
+    A slot the chain leaves non-finite is rebuilt by propagating c_i alone;
+    if that overflows too within the window, the model is rejected with a
+    ``ValueError`` naming the sensor and the horizon. No member is
+    eigen-solved here; see the module docstring.
     """
     n, h = model.state_dimension, model.horizon_samples
-    rows = [sensor.row[None, :] for sensor in model.sensors]
-    bank = np.zeros((len(rows), n, n))
+    bank = np.zeros((model.sensor_count, n, n))
+    steps = [(sensor.row[None, :], slot) for sensor, slot in zip(model.sensors, bank)]
+    block = np.empty((1, n))
+    column, outer = block.T, np.empty((n, n))
+    # bound once: p * h steps of three small calls feel each name lookup
+    matmul, multiply, add = np.matmul, np.multiply, np.add
     power = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(h):
-            for slot, row in zip(bank, rows):
-                block = row @ power
-                slot += block.T * block
+            for row, slot in steps:
+                matmul(row, power, out=block)
+                multiply(column, block, out=outer)
+                add(slot, outer, out=slot)
             power = power @ model.state_matrix
         # Once a power of A overflows, inf * 0 spreads NaN into every slot,
         # also those of sensors blind to the growing mode.
         for i in np.flatnonzero(~np.isfinite(bank).all(axis=(1, 2))):
-            slot, block = np.zeros((n, n)), rows[i]
+            slot, block = np.zeros((n, n)), model.sensors[i].row[None, :]
             for _ in range(h):
                 slot += block.T * block
                 block = block @ model.state_matrix

@@ -36,6 +36,35 @@ def coalition_gramian(bank, mask):
     return coalition_gramians(bank, np.array([mask]))[0]
 
 
+def long_window_models(seed=60602):
+    """Two shapes beyond ``wide_bank_corpus``: an orthogonal A of 2x2
+    rotations with n = 24, p = 8, h = 1000, whose rows have whole rotation
+    planes at exact zero (so every sample's outer product meets -0.0); and a
+    stable n = 6, p = 40, h = 10 model with a quarter of its row entries
+    zero."""
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(0.0, 2 * np.pi, 12)
+    cos, sin = np.cos(angles), np.sin(angles)
+    rotations = np.zeros((24, 24))
+    for j in range(12):
+        rotations[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = [
+            [cos[j], -sin[j]],
+            [sin[j], cos[j]],
+        ]
+    planes = rng.random((8, 12)) >= 0.25
+    rows = rng.standard_normal((8, 24)) * np.repeat(planes, 2, axis=1)
+    shapes = [(rotations, rows, 1000)]
+    state = rng.standard_normal((6, 6))
+    state *= 0.9 / max(abs(np.linalg.eigvals(state)))
+    rows = rng.standard_normal((40, 6)) * 10.0 ** rng.uniform(-3, 3, (40, 6))
+    rows[rng.random((40, 6)) < 0.25] = 0.0
+    shapes.append((state, rows, 10))
+    return [
+        LtiModel(state, tuple(Sensor(f"s{i}", r) for i, r in enumerate(rows)), h)
+        for state, rows, h in shapes
+    ]
+
+
 class TestObservabilityMatrix:
     def test_static_dynamics_repeat_blocks(self, scenario1_model):
         model = LtiModel(
@@ -111,7 +140,7 @@ class TestPerSensorGramians:
             np.testing.assert_array_equal(bank[i], direct)
 
     def test_members_equal_direct_gramians_bit_for_bit_on_wide_corpus(self):
-        for model in wide_bank_corpus(80):
+        for model in wide_bank_corpus(80) + long_window_models():
             bank = per_sensor_gramians(model)
             for i in range(model.sensor_count):
                 direct = gramian_direct(model, 1 << i)
