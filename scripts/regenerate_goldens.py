@@ -28,9 +28,9 @@ def capture(argv) -> str:
     return out.getvalue()
 
 
+# tests/test_cli.py's golden test ids carry each entry's position (argvN),
+# so a new entry goes last.
 GOLDENS = {
-    "analyze_scenario1.json": ["analyze", "--scenario", "1", "--format", "json"],
-    "analyze_scenario2.json": ["analyze", "--scenario", "2", "--format", "json"],
     "analyze_scenario2_trace.json": [
         "analyze", "--scenario", "2", "--format", "json", "--metric", "trace",
     ],
@@ -46,6 +46,8 @@ GOLDENS = {
     ],
     "check_scenario1.txt": ["check", "--scenario", "1"],
     "check_scenario2.txt": ["check", "--scenario", "2"],
+    "analyze_scenario1.json": ["analyze", "--scenario", "1", "--format", "json"],
+    "analyze_scenario2.json": ["analyze", "--scenario", "2", "--format", "json"],
 }
 
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Time the exact attribution path at large sensor counts, one size per process.
 
-For the trace at p = 16, 20, 22 and 24 and the minimum eigenvalue at p = 16
-and 20, a seeded random model with n = 6 states and h = 10 samples is
+For the trace at p = 16, 20, 22 and 24 and the minimum eigenvalue at p = 16,
+20 and 22, a seeded random model with n = 6 states and h = 10 samples is
 attributed exactly in a fresh interpreter, so that no size inherits another's
 heap. The three passes over the 2^p table are timed one by one: the value
 table (``coalition_values``), the contraction (``shapley_from_table``) and
@@ -48,7 +48,7 @@ from sensor_shapley import (
 from sensor_shapley.shapley import _attribution, shapley_from_table
 
 SIZES = (("trace", 16), ("trace", 20), ("trace", 22), ("trace", 24),
-         ("min-eig", 16), ("min-eig", 20))
+         ("min-eig", 16), ("min-eig", 20), ("min-eig", 22))
 STATES, HORIZON = 6, 10
 
 

@@ -171,6 +171,8 @@ def shapley_exact(model: LtiModel, kind: ValueFunctionKind) -> AttributionResult
     The per-sensor bank is built once and every coalition value is drawn
     from one table over it, so the metric is evaluated exactly once per
     coalition; the result carries that table. Raises
+    :class:`EfficiencyViolation` when the ``EfficiencyCheck`` that
+    ``verify_axioms`` reports fails, and
     :class:`~sensor_shapley.model.EnumerationCapExceeded` for sensor counts
     above ``ENUMERATION_CAP``; use ``shapley_sampled`` there instead.
     """
@@ -182,11 +184,10 @@ def shapley_exact(model: LtiModel, kind: ValueFunctionKind) -> AttributionResult
     singles = table[1 << np.arange(p)]
     method = AttributionMethod("exact")
     result = _attribution(model, kind, bank, method, phi, singles, table[-1], table)
-    grand = result.grand_value
-    if result.efficiency_residual > EFFICIENCY_RTOL * max(1.0, abs(grand)):
+    if not _efficiency(result).passed:
         raise EfficiencyViolation(
             f"efficiency violated: Shapley values sum to {float(phi.sum())!r} "
-            f"but the grand value is {grand!r}"
+            f"but the grand value is {result.grand_value!r}"
         )
     return result
 
@@ -213,14 +214,10 @@ def _attribution(model, kind, bank, method, phi, standalone, grand, table=None):
 
 def _unique_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # The distinct rows of a (k, w) word array, in lexicographic order with
-    # word 0 first, and each row's index among them. np.lexsort takes its
-    # primary key last, and is an order of magnitude faster than
-    # np.unique(axis=0); one word needs only one np.argsort, about 5x faster
-    # again. Equal rows get one index whatever their order in the sort.
-    if words.shape[1] == 1:
-        order = np.argsort(words[:, 0])
-    else:
-        order = np.lexsort(words.T[::-1])
+    # word 0 first, and each row's index among them. There is one sort path,
+    # np.lexsort (primary key last), for every word count; it is an order of
+    # magnitude faster than np.unique(axis=0). Equal rows get one index.
+    order = np.lexsort(words.T[::-1])
     ordered = words[order]
     starts = np.ones(len(words), dtype=bool)
     starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
@@ -339,6 +336,13 @@ class EfficiencyCheck:
     passed: bool
 
 
+def _efficiency(result: AttributionResult) -> EfficiencyCheck:
+    # The one efficiency rule, behind shapley_exact's raise and the report.
+    residual = result.efficiency_residual
+    tolerance = EFFICIENCY_RTOL * max(1.0, abs(result.grand_value))
+    return EfficiencyCheck(residual, tolerance, residual <= tolerance)
+
+
 @dataclass(frozen=True)
 class SymmetryCheck:
     """A detected pair of interchangeable sensors and their Shapley gap."""
@@ -431,10 +435,6 @@ def verify_axioms(result: AttributionResult) -> AxiomReport:
     p = len(names)
     phi = result.shapley_values
 
-    residual, grand = result.efficiency_residual, result.grand_value
-    tolerance = EFFICIENCY_RTOL * max(1.0, abs(grand))
-    efficiency = EfficiencyCheck(residual, tolerance, residual <= tolerance)
-
     # Pair j < k compares adding j with adding k, dummy j adding j with
     # adding nothing (bit 0), over the tested coalitions holding neither.
     pool = None
@@ -456,7 +456,7 @@ def verify_axioms(result: AttributionResult) -> AxiomReport:
         dummy_sensors.append(DummyCheck(names[i], magnitude, magnitude <= 1e-6))
 
     return AxiomReport(
-        efficiency=efficiency,
+        efficiency=_efficiency(result),
         symmetric_pairs=tuple(symmetric_pairs),
         dummy_sensors=tuple(dummy_sensors),
         exhaustive=pool is None,

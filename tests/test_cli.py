@@ -103,26 +103,7 @@ class TestAnalyze:
         )
         assert first == second
 
-    def test_golden_scenario_reports(self, capsys):
-        for sid in (1, 2):
-            golden = (GOLDEN_DIR / f"analyze_scenario{sid}.json").read_text(
-                encoding="utf-8"
-            )
-            code, out, _ = run(
-                capsys, "analyze", "--scenario", str(sid), "--format", "json"
-            )
-            assert code == 0
-            assert out == golden, blas_cores()
-
-    @pytest.mark.parametrize(
-        "golden, argv",
-        [
-            (name, argv)
-            for name, argv in GOLDENS.items()
-            # test_golden_scenario_reports covers these two.
-            if name not in ("analyze_scenario1.json", "analyze_scenario2.json")
-        ],
-    )
+    @pytest.mark.parametrize("golden, argv", GOLDENS.items())
     def test_golden_trace_and_sampled_reports(self, capsys, golden, argv):
         expected = (GOLDEN_DIR / golden).read_text(encoding="utf-8")
         code, out, err = run(capsys, *argv)
@@ -426,6 +407,31 @@ class TestAnalyzeErrors:
             "sensor-shapley: error: efficiency violated: Shapley values sum to "
             "6.476686980379149 but the grand value is 2.47668698037915\n"
         )
+
+    @pytest.mark.xfail(
+        raises=AssertionError,
+        strict=True,
+        reason="ROADMAP item 7: shapley._efficiency scales its tolerance with "
+        "|grand value|, not with the table's rounding scale, so analyze exits 4",
+    )
+    def test_min_eig_below_the_noise_floor_is_not_an_efficiency_violation(
+        self, tmp_path, capsys
+    ):
+        # v({near}) = 3.15e16, but v({far, near}) = v(N) = 0: the minimum
+        # eigenvalue is below eps * lambda_max(grand), about 2e25
+        c, s = np.cos(0.5), np.sin(0.5)
+        payload = {
+            "state_matrix": [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]],
+            "sensors": [
+                {"name": "far", "row": [0.0, 0.0, 1e20]},
+                {"name": "near", "row": [1e8, 0.0, 1e8]},
+                {"name": "mid", "row": [1.0, 0.0, 0.0]},
+            ],
+            "horizon_samples": 10,
+        }
+        path = write_model(tmp_path, payload)
+        code, _, err = run(capsys, "analyze", "--model", path)
+        assert code == 0, err
 
     def test_cap_exceeded_without_sample(self, tmp_path, capsys):
         payload = {
