@@ -13,15 +13,16 @@ makes coalition values cheap, and it is the only way W_S is built here: the
 bank of per-sensor Gramians is built once (``per_sensor_gramians``, a
 ``(p, n, n)`` array, from one power chain of A^k) and ``metrics`` sums its
 members for any batch of coalitions. The bank's p * h sensor-by-sample loop
-creates no array: each step writes into buffers made once per call, so it
-costs three ufunc calls. Overflow is caught when the bank is built: a sensor
-whose slot the power chain leaves non-finite (A^k overflows even where
-c_i A^k does not) is rebuilt from its own row, and the model is refused,
-naming the sensor, only if that overflows too. A Gramian is checked
-by the code that reads its eigenvalues: the PSD rule (``_eigenvalues``) runs
-in the min-eig metric, which also catches non-finite coalition sums, in
-``is_observable`` and on the stack ``check`` prints, never on the bank
-alone. Symmetry holds by construction: entries (i, j) and (j, i) are the
+creates no array: it writes into buffers made once per call, so each sample
+costs one batched row product (``matmul``) for all sensors plus two ufunc
+calls per sensor, its outer product and its addition. Overflow is caught
+when the bank is built: a sensor whose slot the power chain leaves
+non-finite (A^k overflows even where c_i A^k does not) is rebuilt from its
+own row, and the model is refused, naming the sensor, only if that
+overflows too. A Gramian is checked by the code that reads its eigenvalues:
+the PSD rule (``_eigenvalues``) runs in the min-eig metric, which also
+catches non-finite coalition sums, in ``is_observable`` and on the stack
+``check`` prints, never on the bank alone. Symmetry holds by construction: entries (i, j) and (j, i) are the
 same products added in the same order, so are never checked or symmetrized.
 
 The system is observable over the window iff the full-coalition Gramian is
@@ -71,12 +72,14 @@ def per_sensor_gramians(model: LtiModel) -> np.ndarray:
     ``(p, n, n)`` array index-aligned with the model's sensors.
 
     Each step of one power chain adds the outer product of c_i A^k with
-    itself to sensor i's slot. The step writes ``c_i @ A^k`` into one
-    ``(1, n)`` buffer, that buffer's transposed view times the buffer into
-    one ``(n, n)`` buffer, and adds the latter to the slot in place. The
-    buffers, the view and the (row, slot) pairs are made once per call, so
-    the p * h steps create no array or view. The products, and the order of
-    the additions (ascending k from +0.0), are those of
+    itself to sensor i's slot. Per sample, one ``matmul`` of the ``(p, 1, n)``
+    row stack by A^k writes every sensor's ``c_i @ A^k`` into a ``(p, 1, n)``
+    buffer: a gufunc over the same ``(1, n) @ (n, n)`` cores, so each block
+    has the bits of its own product. Per sensor, that block's transposed view
+    times the block goes into one ``(n, n)`` buffer, which is added to the
+    slot in place. The buffers and the (column, block, slot) views are made
+    once per call, so the p * h steps create no array or view. The products,
+    and the order of the additions (ascending k from +0.0), are those of
     ``slot += block.T * block``, bit for bit.
 
     A slot the chain leaves non-finite is rebuilt by propagating c_i alone;
@@ -86,16 +89,16 @@ def per_sensor_gramians(model: LtiModel) -> np.ndarray:
     """
     n, h = model.state_dimension, model.horizon_samples
     bank = np.zeros((model.sensor_count, n, n))
-    steps = [(sensor.row[None, :], slot) for sensor, slot in zip(model.sensors, bank)]
-    block = np.empty((1, n))
-    column, outer = block.T, np.empty((n, n))
-    # bound once: p * h steps of three small calls feel each name lookup
-    matmul, multiply, add = np.matmul, np.multiply, np.add
+    rows = np.stack([sensor.row for sensor in model.sensors])[:, None, :]
+    blocks, outer = np.empty_like(rows), np.empty((n, n))
+    steps = list(zip(blocks.transpose(0, 2, 1), blocks, bank))
+    # bound once: p * h steps of two small calls feel each name lookup
+    multiply, add = np.multiply, np.add
     power = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(h):
-            for row, slot in steps:
-                matmul(row, power, out=block)
+            np.matmul(rows, power, out=blocks)
+            for column, block, slot in steps:
                 multiply(column, block, out=outer)
                 add(slot, outer, out=slot)
             power = power @ model.state_matrix

@@ -20,6 +20,7 @@ from sensor_shapley.shapley import _observability_matrix as observability_matrix
 from conftest import (
     ascending_sums,
     coalition_gramians,
+    edge_models,
     gramian_corpus,
     lti_models,
     make_random_model,
@@ -147,6 +148,16 @@ class TestPerSensorGramians:
                 assert np.array_equal(
                     bank[i].view(np.uint64), direct.view(np.uint64)
                 ), (model.state_dimension, model.sensor_count, i)
+
+    @settings(max_examples=100, deadline=None)
+    @given(edge_models())
+    def test_members_equal_direct_gramians_bit_for_bit_on_edge_models(self, model):
+        # orthogonal A up to h = 1000, near-duplicate rows and rows over
+        # 1e-6..1e6: draws the wide corpus (stable A, h < 300) does not make
+        bank = per_sensor_gramians(model)
+        for i in range(model.sensor_count):
+            direct = gramian_direct(model, 1 << i)
+            assert np.array_equal(bank[i].view(np.uint64), direct.view(np.uint64)), i
 
     def test_members_checked_with_one_eigen_solve(self, scenario2_model, monkeypatch):
         calls = []

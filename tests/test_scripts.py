@@ -11,6 +11,7 @@ from sensor_shapley import (
     ValueFunctionKind,
     coalition_values,
     pack_masks,
+    per_sensor_gramians,
     shapley_exact,
 )
 from sensor_shapley.shapley import _unique_rows
@@ -44,3 +45,13 @@ def test_time_coalition_sums_values_the_samplers_prefixes():
     assert count == len(want) and min(sums_ms, values_ms, peak_mb) >= 0.0
     values = coalition_values(bank, ValueFunctionKind.MIN_EIGENVALUE, want)
     assert digest == hashlib.sha256(values.tobytes()).hexdigest()
+
+
+def test_time_bank_hashes_the_bank_of_its_model():
+    with mock.patch.dict(os.environ):  # the script sets BLAS thread counts
+        script = load_script("time_bank")
+    model = script.seeded_model(3, 4, 20)
+    bank_ms, peak_mb, digest = script.timed_bank(model)
+    assert min(bank_ms, peak_mb) >= 0.0
+    bank = per_sensor_gramians(model)
+    assert digest == hashlib.sha256(bank.tobytes()).hexdigest()
