@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
-"""Time the per-sensor Gramian bank at perfbench's shapes and one wider one.
+"""Time the per-sensor Gramian bank at perfbench's shapes and two wider ones.
 
 For each shape (p sensors, n states, h samples), a seeded random model with
 an orthogonal state matrix (marginally stable, so nothing decays or
 overflows over long windows) and p random sensor rows gets its bank built by
-``per_sensor_gramians``. The shapes are those of perfbench's
-``exact-table`` (10, 6, 10), ``sampled-wide`` (40, 6, 10) and
-``long-horizon`` (8, 24, 1000) workloads, plus (40, 24, 1000), which
-perfbench does not reach. The script prints, per shape, the median wall time
-of the bank, the tracemalloc peak of a second, traced call (tracemalloc
-slows every allocation) and the sha256 of the bank's bytes, so that two
-checkouts can be compared for speed, working memory and identical bits.
+``per_sensor_gramians``. The shapes are those of perfbench's ``exact-table``
+(10, 6, 10), ``sampled-wide`` (40, 6, 10) and ``long-horizon`` (8, 24, 1000)
+workloads, plus two that perfbench does not reach: (40, 24, 1000), and (600,
+64, 2), whose 18.75 MiB bank is above the outer-product byte budget, so its
+sensors go in groups. The script prints, per shape, the median wall time of
+the bank, the tracemalloc peak of a second, traced call (tracemalloc slows
+every allocation) and the sha256 of the bank's bytes, so that two checkouts
+can be compared for speed, working memory and identical bits.
 
 Run from the repository root:
 
@@ -33,7 +34,13 @@ import numpy as np
 
 from sensor_shapley import LtiModel, Sensor, per_sensor_gramians
 
-SHAPES = ((10, 6, 10), (40, 6, 10), (8, 24, 1000), (40, 24, 1000))
+SHAPES = (
+    (10, 6, 10),
+    (40, 6, 10),
+    (8, 24, 1000),
+    (40, 24, 1000),
+    (600, 64, 2),
+)
 REPEATS = 15
 
 

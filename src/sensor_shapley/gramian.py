@@ -12,18 +12,21 @@ of the single-sensor Gramians of the members of S. That additivity is what
 makes coalition values cheap, and it is the only way W_S is built here: the
 bank of per-sensor Gramians is built once (``per_sensor_gramians``, a
 ``(p, n, n)`` array, from one power chain of A^k) and ``metrics`` sums its
-members for any batch of coalitions. The bank's p * h sensor-by-sample loop
-creates no array: it writes into buffers made once per call, so each sample
-costs one batched row product (``matmul``) for all sensors plus two ufunc
-calls per sensor, its outer product and its addition. Overflow is caught
-when the bank is built: a sensor whose slot the power chain leaves
-non-finite (A^k overflows even where c_i A^k does not) is rebuilt from its
-own row, and the model is refused, naming the sensor, only if that
-overflows too. A Gramian is checked by the code that reads its eigenvalues:
-the PSD rule (``_eigenvalues``) runs in the min-eig metric, which also
-catches non-finite coalition sums, in ``is_observable`` and on the stack
-``check`` prints, never on the bank alone. Symmetry holds by construction: entries (i, j) and (j, i) are the
-same products added in the same order, so are never checked or symmetrized.
+members for any batch of coalitions. The bank's h-sample loop creates no
+array but the next power of A: each sample writes every sensor's c_i A^k
+with one batched row product (``matmul``), all their outer products with one
+``multiply`` and adds them to the bank with one ``add``, through buffers
+made once per call. The outer-product buffer holds at most ``_CHUNK_BYTES``
+of sensors; a larger bank takes one multiply and one add per group of
+sensors that fits. Overflow is caught when the bank is built: a sensor whose
+slot the power chain leaves non-finite (A^k overflows even where c_i A^k
+does not) is rebuilt from its own row, and the model is refused, naming the
+sensor, only if that overflows too. A Gramian is checked by the code that
+reads its eigenvalues: the PSD rule (``_eigenvalues``) runs in the min-eig
+metric, which also catches non-finite coalition sums, in ``is_observable``
+and on the stack ``check`` prints, never on the bank alone. Symmetry holds
+by construction: entries (i, j) and (j, i) are the same products added in
+the same order, so are never checked or symmetrized.
 
 The system is observable over the window iff the full-coalition Gramian is
 positive definite, i.e. its minimum eigenvalue is strictly positive.
@@ -43,6 +46,11 @@ __all__ = ["is_observable", "per_sensor_gramians"]
 # floored absolutely) before a Gramian is rejected as non-PSD.
 PSD_RTOL = 1e-9
 PSD_FLOOR = 1e-12
+
+# The bank forms its outer products for at most this many bytes of sensors
+# at a time, and ``metrics`` values coalitions in chunks of this many bytes
+# of full n x n Gramians: neither's memory grows with p or 2^p.
+_CHUNK_BYTES = 1 << 23
 
 
 def _eigenvalues(gramians: np.ndarray) -> np.ndarray:
@@ -75,32 +83,44 @@ def per_sensor_gramians(model: LtiModel) -> np.ndarray:
     itself to sensor i's slot. Per sample, one ``matmul`` of the ``(p, 1, n)``
     row stack by A^k writes every sensor's ``c_i @ A^k`` into a ``(p, 1, n)``
     buffer: a gufunc over the same ``(1, n) @ (n, n)`` cores, so each block
-    has the bits of its own product. Per sensor, that block's transposed view
-    times the block goes into one ``(n, n)`` buffer, which is added to the
-    slot in place. The buffers and the (column, block, slot) views are made
-    once per call, so the p * h steps create no array or view. The products,
-    and the order of the additions (ascending k from +0.0), are those of
-    ``slot += block.T * block``, bit for bit.
+    has the bits of its own product. One ``multiply`` of the blocks'
+    transposed ``(p, n, 1)`` view by the ``(p, 1, n)`` blocks writes all the
+    outer products into a ``(p, n, n)`` buffer, and one ``add`` puts them on
+    the bank in place. If the outer products of all p sensors pass
+    ``_CHUNK_BYTES``, the buffer holds a group of sensors that fits and
+    each sample makes one multiply and one add per group. The buffers and
+    the group views are made once per call, so a sample creates no array
+    but the next power of A. Every entry is one product ``c_j * c_k`` added
+    in ascending k from +0.0: the bits of ``slot += block.T * block``.
 
     A slot the chain leaves non-finite is rebuilt by propagating c_i alone;
     if that overflows too within the window, the model is rejected with a
     ``ValueError`` naming the sensor and the horizon. No member is
     eigen-solved here; see the module docstring.
     """
-    n, h = model.state_dimension, model.horizon_samples
-    bank = np.zeros((model.sensor_count, n, n))
+    p, n, h = model.sensor_count, model.state_dimension, model.horizon_samples
+    bank = np.zeros((p, n, n))
     rows = np.stack([sensor.row for sensor in model.sensors])[:, None, :]
-    blocks, outer = np.empty_like(rows), np.empty((n, n))
-    steps = list(zip(blocks.transpose(0, 2, 1), blocks, bank))
-    # bound once: p * h steps of two small calls feel each name lookup
-    multiply, add = np.multiply, np.add
+    blocks = np.empty_like(rows)
+    group = min(p, max(1, _CHUNK_BYTES // (8 * n * n)))
+    outers = np.empty((group, n, n))
+    columns = blocks.transpose(0, 2, 1)
+    groups = [
+        (
+            columns[i : i + group],
+            blocks[i : i + group],
+            bank[i : i + group],
+            outers[: min(group, p - i)],
+        )
+        for i in range(0, p, group)
+    ]
     power = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(h):
             np.matmul(rows, power, out=blocks)
-            for column, block, slot in steps:
-                multiply(column, block, out=outer)
-                add(slot, outer, out=slot)
+            for column, block, slots, outer in groups:
+                np.multiply(column, block, out=outer)
+                np.add(slots, outer, out=slots)
             power = power @ model.state_matrix
         # Once a power of A overflows, inf * 0 spreads NaN into every slot,
         # also those of sensors blind to the growing mode.

@@ -37,7 +37,7 @@ from enum import Enum
 
 import numpy as np
 
-from .gramian import _eigenvalues, per_sensor_gramians
+from .gramian import _CHUNK_BYTES, _eigenvalues, per_sensor_gramians
 from .model import LtiModel, require_enumerable
 
 __all__ = [
@@ -48,11 +48,6 @@ __all__ = [
     "pack_masks",
     "value_table",
 ]
-
-# Coalitions are valued in chunks of about this many bytes of full n x n
-# Gramians, so a table's memory does not grow with 2^p. A min-eig table
-# also keeps its partial table and the chunk's sums, about half that each.
-_CHUNK_BYTES = 1 << 23
 
 
 class ValueFunctionKind(Enum):
@@ -228,6 +223,9 @@ def coalition_values(
     entries the metric reads are summed, in chunks of bounded memory; the
     values have the bits of ``evaluate`` on the coalitions' full Gramians.
     """
+    # Chunks of about _CHUNK_BYTES of full n x n Gramians, so a table's
+    # memory does not grow with 2^p. A min-eig table also keeps its partial
+    # table and the chunk's sums, about half that each.
     p, n = len(bank), bank.shape[-1]
     chunk = max(1, _CHUNK_BYTES // (8 * n * n))
     entries = bank.reshape(p, n * n)[:, _read(kind, n)]

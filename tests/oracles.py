@@ -21,3 +21,17 @@ def gramian_direct(model, mask):
             acc += block.T @ block
             power = power @ model.state_matrix
     return acc
+
+
+def gramian_propagated(model, i):
+    """Sensor i's Gramian from its own row, propagated a sample at a time
+    (block <- block @ A) with no power of A: sum_k (c_i A^k)^T (c_i A^k)
+    from zeros. Overflow is left to the caller, as in ``gramian_direct``.
+    """
+    block = model.sensors[i].row[None, :]
+    acc = np.zeros((model.state_dimension,) * 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(model.horizon_samples):
+            acc += block.T @ block
+            block = block @ model.state_matrix
+    return acc

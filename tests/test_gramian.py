@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,7 +27,7 @@ from conftest import (
     make_random_model,
     wide_bank_corpus,
 )
-from oracles import gramian_direct
+from oracles import gramian_direct, gramian_propagated
 
 
 def full_mask(model):
@@ -35,6 +36,23 @@ def full_mask(model):
 
 def coalition_gramian(bank, mask):
     return coalition_gramians(bank, np.array([mask]))[0]
+
+
+def traced_peak(call, *args):
+    # The tracemalloc peak of one call, in bytes.
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def orthogonal_model(p, n, h, seed=60603):
+    rng = np.random.default_rng(seed)
+    state = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    rows = rng.standard_normal((p, n))
+    return LtiModel(state, tuple(Sensor(f"s{i}", r) for i, r in enumerate(rows)), h)
 
 
 def long_window_models(seed=60602):
@@ -184,6 +202,37 @@ class TestPerSensorGramians:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="sensor 'x1' .* 800 samples"):
                     per_sensor_gramians(model)
+
+    def test_rebuilt_slots_equal_propagated_rows_bit_for_bit(self):
+        # 3^k overflows the power chain, so inf * 0 leaves every slot NaN,
+        # although no sensor sees the growing mode; each slot is rebuilt
+        # from its own row
+        rows = ([0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 1.0])
+        sensors = tuple(Sensor(f"s{i}", row) for i, row in enumerate(rows))
+        model = LtiModel(np.diag([3.0, 0.5, 0.25]), sensors, 800)
+        bank = per_sensor_gramians(model)
+        for i in range(model.sensor_count):
+            assert not np.all(np.isfinite(gramian_direct(model, 1 << i)))
+            rebuilt = gramian_propagated(model, i)
+            assert np.array_equal(bank[i].view(np.uint64), rebuilt.view(np.uint64)), i
+
+    def test_working_memory_does_not_grow_with_the_horizon(self):
+        # no per-sample stack: at p = 40, n = 24, a thousand samples peak
+        # where ten do
+        short, long = (orthogonal_model(40, 24, h) for h in (10, 1000))
+        per_sensor_gramians(short)
+        assert abs(
+            traced_peak(per_sensor_gramians, long)
+            - traced_peak(per_sensor_gramians, short)
+        ) <= 1024
+
+    def test_working_memory_above_the_byte_budget(self):
+        # an 18.75 MiB bank, over gramian._CHUNK_BYTES: the outer products
+        # are formed a group of sensors at a time, not in a bank-sized buffer
+        model = orthogonal_model(600, 64, 2)
+        bank = per_sensor_gramians(model)
+        assert bank.nbytes > gramian._CHUNK_BYTES
+        assert traced_peak(per_sensor_gramians, model) < 1.75 * bank.nbytes
 
 
 class TestCoalitionGramian:
