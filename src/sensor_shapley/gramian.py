@@ -1,37 +1,13 @@
 """Observability Gramians for sensor coalitions.
 
-A coalition S is a membership bitmask: bit i set means sensor i is a member.
-For stacked measurement rows C_S, the observability matrix O_S over K+1
-samples is the row-stack of C_S A^k for k = 0..K, and the observability
-Gramian is
+The Gramian of a sensor coalition S over the K+1 samples of the window is
 
-    W_S = sum_k (A^T)^k C_S^T C_S A^k = O_S^T O_S.
+    W_S = sum_k (A^T)^k C_S^T C_S A^k = O_S^T O_S,
 
-W_S is symmetric positive semidefinite and additive over sensors: W_S = sum
-of the single-sensor Gramians of the members of S. That additivity is what
-makes coalition values cheap, and it is the only way W_S is built here: the
-bank of per-sensor Gramians is built once (``per_sensor_gramians``, a
-``(p, n, n)`` array, from one power chain of A^k) and ``metrics`` sums its
-members for any batch of coalitions. The bank's h-sample loop creates no
-array but the next power of A: each sample writes every sensor's c_i A^k
-with one batched row product (``matmul``), all their outer products with one
-``multiply`` and adds them to the bank with one ``add``, through buffers
-made once per call. The outer-product buffer holds at most ``_CHUNK_BYTES``
-of sensors; a larger bank takes one multiply and one add per group of
-sensors that fits. Overflow is caught when the bank is built: a sensor whose
-slot the power chain leaves non-finite (A^k overflows even where c_i A^k
-does not) is rebuilt from its own row, and the model is refused, naming the
-sensor, only if that overflows too. A Gramian is checked by the code that
-reads its eigenvalues: the PSD rule (``_eigenvalues``) runs in the min-eig
-metric, which also catches non-finite coalition sums, in ``is_observable``
-and on the stack ``check`` prints, never on the bank alone. Symmetry holds
-by construction: entries (i, j) and (j, i) are the same products added in
-the same order, so are never checked or symmetrized.
-
-The system is observable over the window iff the full-coalition Gramian is
-positive definite, i.e. its minimum eigenvalue is strictly positive.
-Summation order is fixed (ascending sensor index, ascending k); the last
-bits of the matrix products still depend on the BLAS kernel.
+where O_S stacks C_S A^k for k = 0..K. W_S is symmetric positive semidefinite
+and the sum of its members' single-sensor Gramians, so the package builds only
+those (the bank) and ``metrics`` sums them. The system is observable over the
+window iff the full-coalition Gramian is positive definite.
 """
 
 from __future__ import annotations
@@ -42,23 +18,21 @@ from .model import LtiModel, _shown
 
 __all__ = ["is_observable", "per_sensor_gramians"]
 
-# Eigenvalues may dip this far below zero (relative to the largest one,
-# floored absolutely) before a Gramian is rejected as non-PSD.
+# A minimum eigenvalue more than max(PSD_RTOL * largest, PSD_FLOOR) below
+# zero rejects a Gramian as not PSD; one within that is clamped to 0.
 PSD_RTOL = 1e-9
 PSD_FLOOR = 1e-12
 
-# The bank forms its outer products for at most this many bytes of sensors
-# at a time, and ``metrics`` values coalitions in chunks of this many bytes
-# of full n x n Gramians: neither's memory grows with p or 2^p.
+# The byte budget of the bank's outer-product buffer and of a chunk of
+# coalition Gramians in ``metrics``: neither's memory grows with p or 2^p.
 _CHUNK_BYTES = 1 << 23
 
 
 def _eigenvalues(gramians: np.ndarray) -> np.ndarray:
     # The ascending eigenvalues of each Gramian of an (n, n) matrix or
-    # (k, n, n) stack, under the one numerical contract on Gramians: entries
-    # are finite, and minimum eigenvalues below
-    # -max(PSD_RTOL * lambda_max, PSD_FLOOR) are rejected while those within
-    # that tolerance below zero are clamped to 0.
+    # (k, n, n) stack, after the one check on Gramians: finite entries and
+    # the PSD tolerance. The min-eig metric, is_observable and check read
+    # eigenvalues only through here.
     if not np.all(np.isfinite(gramians)):
         raise ValueError("Gramian contains non-finite entries")
     eigs = np.linalg.eigvalsh(gramians)
@@ -76,27 +50,15 @@ def _eigenvalues(gramians: np.ndarray) -> np.ndarray:
 
 
 def per_sensor_gramians(model: LtiModel) -> np.ndarray:
-    """The bank: all p single-sensor Gramians, built once, as a read-only
-    ``(p, n, n)`` array index-aligned with the model's sensors.
+    """The bank: all p single-sensor Gramians, as a read-only ``(p, n, n)``
+    array index-aligned with the model's sensors.
 
-    Each step of one power chain adds the outer product of c_i A^k with
-    itself to sensor i's slot. Per sample, one ``matmul`` of the ``(p, 1, n)``
-    row stack by A^k writes every sensor's ``c_i @ A^k`` into a ``(p, 1, n)``
-    buffer: a gufunc over the same ``(1, n) @ (n, n)`` cores, so each block
-    has the bits of its own product. One ``multiply`` of the blocks'
-    transposed ``(p, n, 1)`` view by the ``(p, 1, n)`` blocks writes all the
-    outer products into a ``(p, n, n)`` buffer, and one ``add`` puts them on
-    the bank in place. If the outer products of all p sensors pass
-    ``_CHUNK_BYTES``, the buffer holds a group of sensors that fits and
-    each sample makes one multiply and one add per group. The buffers and
-    the group views are made once per call, so a sample creates no array
-    but the next power of A. Every entry is one product ``c_j * c_k`` added
-    in ascending k from +0.0: the bits of ``slot += block.T * block``.
-
-    A slot the chain leaves non-finite is rebuilt by propagating c_i alone;
-    if that overflows too within the window, the model is rejected with a
-    ``ValueError`` naming the sensor and the horizon. No member is
-    eigen-solved here; see the module docstring.
+    Every entry is one product ``c_j * c_k`` added in ascending k from +0.0,
+    the bits of ``slot += block.T * block``; the last bits of the products
+    depend on the BLAS kernel. A slot the power chain leaves non-finite is
+    rebuilt by propagating c_i alone; if that overflows too within the
+    window, a ``ValueError`` names the sensor and the horizon. No slot is
+    eigen-solved.
     """
     p, n, h = model.sensor_count, model.state_dimension, model.horizon_samples
     bank = np.zeros((p, n, n))
@@ -114,6 +76,13 @@ def per_sensor_gramians(model: LtiModel) -> np.ndarray:
         )
         for i in range(0, p, group)
     ]
+    # Per sample, one matmul writes every sensor's c_i A^k (a gufunc over the
+    # same (1, n) @ (n, n) cores, so each block has its own product's bits),
+    # then per group of sensors whose outer products fit _CHUNK_BYTES one
+    # multiply writes them and one add puts them on the bank. The buffers and
+    # views are made once, so a sample creates no array but the next power
+    # of A. Entries (i, j) and (j, i) are the same products added in the same
+    # order, so the bank is symmetric without a check.
     power = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(h):
@@ -147,9 +116,8 @@ def is_observable(gramians: np.ndarray, tol: float | None = None):
     Takes one ``(n, n)`` Gramian (returns a bool) or a ``(k, n, n)`` stack
     (returns a boolean array). ``tol`` is the strict lower bound the minimum
     eigenvalue must exceed, a positive finite number; by default
-    1e-9 * max(1, largest eigenvalue). Gramians with non-finite entries or a
-    minimum eigenvalue beyond the PSD tolerance are rejected with a
-    ``ValueError``, as everywhere else.
+    1e-9 * max(1, largest eigenvalue). Raises ``ValueError`` for a Gramian
+    with non-finite entries or a minimum eigenvalue below the PSD tolerance.
     """
     if tol is not None and not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")

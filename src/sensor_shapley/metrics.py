@@ -11,23 +11,6 @@ Two metrics ship:
 
 The log-determinant is deliberately not offered: coalitions that lose
 observability have singular Gramians, where it is undefined.
-
-Each metric names what it reads of a Gramian: the trace its diagonal, the
-minimum eigenvalue its lower triangle (all that ``eigvalsh`` reads). The
-exact value table and the sampler's prefix coalitions sum only those
-entries of the bank, entry-major: ``(e, k)``, row r holding entry r of all
-k sums. A batch of k starts from a partial table over the lowest c sensors,
-2^(c-1) <= k < 2^c; each higher sensor is then one contiguous pass that adds
-its entries, or +0.0 for coalitions without it, chosen by a bitwise AND of
-their int64 view with an all-ones or all-zeros word from the mask words.
-Sums start from +0.0, so are never -0.0, and x + 0.0 keeps every other x,
-inf and NaN too: the bits of adding members one at a time (a 0/1 multiply
-would not be exact: inf * 0 is NaN). The working set is at most three times
-the output. Then the trace sums a row-major ``(k, n)`` copy over its rows,
-as ``np.trace`` does (pairwise from n = 8, so a column sum would move bits),
-and the minimum eigenvalue scatters the triangles into zeroed ``(k, n, n)``
-matrices: the bits of the metric on full Gramians. The empty coalition is
-worth 0 for both metrics.
 """
 
 from __future__ import annotations
@@ -71,11 +54,9 @@ def evaluate(kind: ValueFunctionKind, gramians: np.ndarray) -> np.ndarray:
     """Scalar observability degree of each Gramian in a ``(k, n, n)`` stack.
 
     Returns one value per Gramian (a 0-d array for a single ``(n, n)``
-    input). Non-finite entries the metric reads, traces beyond the float
-    range and minimum eigenvalues below -max(PSD_RTOL * lambda_max,
-    PSD_FLOOR) are rejected; minimum eigenvalues within that tolerance below
-    zero are clamped to 0, so the zero Gramian (empty coalition) evaluates to
-    exactly 0 for every metric.
+    input); the zero Gramian is worth exactly 0 for both metrics. Raises
+    ``ValueError`` for non-finite entries the metric reads, a trace beyond
+    the float range or a minimum eigenvalue below the PSD tolerance.
     """
     if kind is ValueFunctionKind.TRACE:
         return _traces(np.diagonal(gramians, axis1=-2, axis2=-1))
@@ -87,7 +68,7 @@ def evaluate(kind: ValueFunctionKind, gramians: np.ndarray) -> np.ndarray:
 def _read(kind: ValueFunctionKind, n: int) -> np.ndarray:
     # The flat indices, into a row-major (n, n) Gramian, of the entries the
     # metric reads: the diagonal for the trace, the lower triangle row by
-    # row for the minimum eigenvalue.
+    # row for the minimum eigenvalue (all that eigvalsh reads).
     if kind is ValueFunctionKind.TRACE:
         return np.arange(0, n * n, n + 1)
     if kind is ValueFunctionKind.MIN_EIGENVALUE:
@@ -96,10 +77,10 @@ def _read(kind: ValueFunctionKind, n: int) -> np.ndarray:
 
 
 def _traces(diagonals: np.ndarray) -> np.ndarray:
-    # The sum of each (..., n) diagonal over its last axis, which is what
-    # np.trace computes, so the trace keeps its bits. A diagonal of PSD
-    # sums bounds every off-diagonal entry (|W_ij| <= sqrt(W_ii W_jj)), so
-    # checking it alone still catches a non-finite sum.
+    # The sum of each (..., n) diagonal over its last axis, as np.trace
+    # computes it (pairwise from n = 8, so another axis would move bits). A
+    # diagonal of PSD sums bounds every off-diagonal entry
+    # (|W_ij| <= sqrt(W_ii W_jj)), so checking it alone catches a non-finite sum.
     if not np.all(np.isfinite(diagonals)):
         raise ValueError("Gramian contains non-finite entries")
     with np.errstate(over="ignore"):
@@ -123,7 +104,8 @@ def _finish(
     kind: ValueFunctionKind, sums: np.ndarray, read: np.ndarray | None = None
 ) -> np.ndarray:
     # The metric of each column of (e, k) sums of the entries _read names,
-    # copied into read (a fresh _buffer by default).
+    # copied into read (a fresh _buffer by default): row-major (k, n)
+    # diagonals for _traces, or triangles in zeroed (k, n, n) matrices.
     e, k = sums.shape
     if read is None:
         read = _buffer(kind, e, k)
@@ -168,8 +150,7 @@ def _mask_words(masks, sensor_count: int) -> np.ndarray:
 def _low_table(entries: np.ndarray, c: int) -> np.ndarray:
     # The (e, 2^c) sums of (p, e) per-sensor entries over sensors 0..c-1,
     # column m the coalition of bitmask m, by the highest-set-bit recursion
-    # W[:, 2^i : 2^(i+1)] = W[:, :2^i] + G[i]: each column is its members
-    # summed in ascending index from +0.0.
+    # W[:, 2^i : 2^(i+1)] = W[:, :2^i] + G[i].
     low = np.zeros((entries.shape[1], 1 << c))
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(c):
@@ -178,7 +159,15 @@ def _low_table(entries: np.ndarray, c: int) -> np.ndarray:
 
 
 def _coalition_sums(entries: np.ndarray, masks) -> np.ndarray:
-    # The entry-major (e, k) sums of (p, e) per-sensor entries over bitmasks.
+    # The entry-major (e, k) sums of (p, e) per-sensor entries over bitmasks,
+    # row r holding entry r of all k sums. The batch takes its low members'
+    # sums from the partial table over the lowest c sensors,
+    # 2^(c-1) <= k < 2^c; each higher sensor is then one contiguous pass that
+    # adds its entries, or +0.0 for coalitions without it, chosen by a
+    # bitwise AND of their int64 view with an all-ones or all-zeros word.
+    # Every sum starts from +0.0, and x + 0.0 keeps every other x, inf and
+    # NaN too: the bits of adding members one at a time in ascending index
+    # (a 0/1 multiply would not be: inf * 0 is NaN).
     entries = np.ascontiguousarray(entries, dtype=np.float64)
     p = entries.shape[0]
     words = _mask_words(masks, p)
@@ -223,9 +212,8 @@ def coalition_values(
     entries the metric reads are summed, in chunks of bounded memory; the
     values have the bits of ``evaluate`` on the coalitions' full Gramians.
     """
-    # Chunks of about _CHUNK_BYTES of full n x n Gramians, so a table's
-    # memory does not grow with 2^p. A min-eig table also keeps its partial
-    # table and the chunk's sums, about half that each.
+    # A min-eig chunk also keeps its partial table and sums, about half the
+    # chunk's _CHUNK_BYTES each.
     p, n = len(bank), bank.shape[-1]
     chunk = max(1, _CHUNK_BYTES // (8 * n * n))
     entries = bank.reshape(p, n * n)[:, _read(kind, n)]
@@ -242,7 +230,7 @@ def _table(entries: np.ndarray, kind: ValueFunctionKind, chunk: int) -> np.ndarr
     # One chunk is the partial table over all p sensors, passed as a
     # temporary. Otherwise each chunk of 2^c masks adds its high members to
     # the partial table over the low c sensors, in buffers every chunk
-    # reuses. Members are added in ascending index from +0.0, as in a batch.
+    # reuses, in ascending index as _coalition_sums does.
     p, e = entries.shape
     c = min(p, chunk.bit_length() - 1)
     if c == p:
@@ -266,12 +254,8 @@ def _table(entries: np.ndarray, kind: ValueFunctionKind, chunk: int) -> np.ndarr
 
 
 def value_table(model: LtiModel, kind: ValueFunctionKind) -> np.ndarray:
-    """Evaluate the metric on every one of the 2^p coalitions of a model.
-
-    Returns the 2^p values indexed by membership bitmask (bit i set means
-    sensor i is a member). The coalition Gramians are sums of the per-sensor
-    bank, which one power chain of h state-matrix products builds, so the
-    dynamics are propagated once however many coalitions exist. Sensor
+    """The read-only table of the metric on all 2^p coalitions of a model,
+    indexed by membership bitmask: ``coalition_values`` on its bank. Sensor
     counts above ``ENUMERATION_CAP`` raise
     :class:`~sensor_shapley.model.EnumerationCapExceeded`.
     """

@@ -7,14 +7,10 @@ steps (k = 0 .. horizon_samples - 1).
 
 A sensor coalition is not a type of its own: everywhere in the package it is
 a membership bitmask over the model's sensor indices (bit i set means sensor
-i is a member; see :mod:`~sensor_shapley.gramian`).
+i is a member).
 
 All types here are immutable after construction and safe to share across
-threads. An ``LtiModel`` is valid by construction: its constructor runs
-``validate_model`` and raises :class:`InvalidModel` listing every violated
-invariant, so no other code checks a model again. Validation itself is
-data, not an exception: ``validate_model`` returns the violations so that
-they can all be reported at once.
+threads.
 """
 
 from __future__ import annotations
@@ -91,9 +87,9 @@ class Sensor:
 class LtiModel:
     """Autonomous discrete-time LTI system with named scalar sensors.
 
-    Construction coerces the arrays, then checks every invariant of
-    ``validate_model`` and raises :class:`InvalidModel` listing all of the
-    violations, so every ``LtiModel`` that exists is valid.
+    Construction coerces the arrays, then raises :class:`InvalidModel`
+    listing every violation ``validate_model`` finds, so every ``LtiModel``
+    that exists is valid and no other code checks a model again.
     """
 
     state_matrix: np.ndarray
@@ -130,13 +126,13 @@ class ValidationResult:
 
 
 def validate_model(model: LtiModel) -> ValidationResult:
-    """Check every model invariant and return the violations found.
+    """Check every model invariant and return the violations found, as data
+    so that they can all be reported at once.
 
     Each violation message names the offending field. A model is valid iff
     the state matrix is square and finite, every sensor row is a finite
     vector of matching length with a unique non-empty name, and the horizon
-    is a positive sample count. ``LtiModel`` runs this on every
-    construction.
+    is a positive sample count.
     """
     violations: list[str] = []
 

@@ -13,15 +13,6 @@ Unknown fields are rejected everywhere so that fixture files stay
 unambiguous ground truth. Parse failures are reported in three distinct
 stages, each with a location: JSON syntax, document schema, and model
 validation.
-
-Reports are rendered straight from the fields of an
-:class:`~sensor_shapley.shapley.AttributionResult` (sensor names zipped with
-its per-sensor arrays), its :class:`~sensor_shapley.shapley.AxiomReport`
-(``None`` for sampled results; JSON reads its checks in place through
-``default=vars``) and the observability verdict, in two forms: a human
-table whose columns are Sensor | Value Function | Standalone Value | Shapley
-Value, and a JSON document with a fixed key layout and full-precision numbers
-so byte-level diffing of outputs is meaningful.
 """
 
 from __future__ import annotations
@@ -210,10 +201,11 @@ def render_json(
     observable: bool,
     axioms: AxiomReport | None,
 ) -> str:
-    """Schema-stable JSON rendering: fixed key order, full-precision floats.
+    """The report of an exact or sampled result as schema-stable JSON.
 
-    Numbers are emitted in Python's shortest exact round-trip form, so every
-    significant digit of the underlying double survives into the file. Each
+    Keys come in a fixed order, and numbers in Python's shortest exact
+    round-trip form, so every bit of each double survives and byte-level
+    diffs are meaningful. ``axioms`` is ``None`` for sampled results. Each
     sensor's ``share_of_total`` is omitted when the grand value is not
     positive.
     """
@@ -238,6 +230,7 @@ def render_json(
             None if axioms is None else vars(axioms) | {"passed": axioms.passed}
         ),
     }
+    # default=vars renders the axiom checks, which are dataclasses, in place
     return json.dumps(payload, indent=2, allow_nan=False, default=vars) + "\n"
 
 
@@ -251,7 +244,8 @@ def render_table(
     observable: bool,
     axioms: AxiomReport | None,
 ) -> str:
-    """Human-readable table mirroring the standalone/Shapley column layout."""
+    """The report as a human-readable table, one row per sensor.
+    ``axioms`` is ``None`` for sampled results."""
     metric = result.metric.value
     header = ("Sensor", "Value Function", "Standalone Value", "Shapley Value")
     rows = [

@@ -5,23 +5,11 @@ its marginal contributions over every coalition S that excludes i:
 
     phi_i = sum_S w(|S|) * (v(S + {i}) - v(S)),   w(s) = s! (p-s-1)! / p!
 
-Equivalently, phi_i is the average marginal contribution of i over all p!
-orderings in which the sensors could be added. ``shapley_exact`` evaluates
-the subset sum from the 2^p value table, built once from the per-sensor
-Gramian bank and carried on the result; ``shapley_permutation_oracle``
-re-derives the same numbers by brute-force ordering enumeration, valuing
-each coalition from its own stacked observability matrix, and exists as the
-cross-check; ``shapley_sampled`` Monte-Carlo averages over random
-orderings for sensor sets too large to enumerate, at any sensor count. Both
-estimators value their coalitions through one batched path
-(:func:`~sensor_shapley.metrics.coalition_values`).
-
-The attribution is "fair" in the classic cooperative-game sense: it is the
-unique allocation satisfying efficiency (values sum to the grand value),
-symmetry (interchangeable sensors get equal value), dummy (a sensor that
-never changes any coalition's value gets zero), and additivity over games.
-``verify_axioms`` checks the first three on an exact result, reading the
-table that result carries.
+or equally its average marginal contribution over all p! orderings in which
+the sensors could be added. It is the unique allocation satisfying
+efficiency (values sum to the grand value), symmetry (interchangeable
+sensors get equal value), dummy (a sensor that never changes any coalition's
+value gets zero) and additivity over games.
 """
 
 from __future__ import annotations
@@ -112,19 +100,6 @@ class AttributionResult:
     grand_gramian: np.ndarray = field(repr=False)
     values_by_bitmask: np.ndarray | None = field(default=None, repr=False)
 
-    @property
-    def standalone_deviations(self) -> np.ndarray:
-        """Per-sensor gap |phi_i - v({i})| between Shapley and standalone values.
-
-        For an additive metric like the trace, a sensor's marginal
-        contribution to every coalition equals its standalone value and the
-        weights sum to 1, so every deviation is zero. Non-additive metrics
-        (minimum eigenvalue) deviate whenever interaction effects are
-        present; the deviations are returned for inspection, not asserted
-        against.
-        """
-        return np.abs(self.shapley_values - self.standalone_values)
-
 
 def shapley_from_table(values_by_bitmask: np.ndarray, sensor_count: int) -> np.ndarray:
     """Exact Shapley values of an arbitrary coalition game given as a dense
@@ -166,11 +141,8 @@ def shapley_from_table(values_by_bitmask: np.ndarray, sensor_count: int) -> np.n
 
 
 def shapley_exact(model: LtiModel, kind: ValueFunctionKind) -> AttributionResult:
-    """Exact Shapley attribution of the model's observability degree.
-
-    The per-sensor bank is built once and every coalition value is drawn
-    from one table over it, so the metric is evaluated exactly once per
-    coalition; the result carries that table. Raises
+    """Exact Shapley attribution of the model's observability degree, from
+    one table of all 2^p coalition values, which the result carries. Raises
     :class:`EfficiencyViolation` when the ``EfficiencyCheck`` that
     ``verify_axioms`` reports fails, and
     :class:`~sensor_shapley.model.EnumerationCapExceeded` for sensor counts
@@ -282,10 +254,7 @@ def shapley_sampled(
     (numpy's default; row r equals the r-th of successive
     ``rng.permutation(p)`` calls) and averages each sensor's marginal
     contribution along them, the estimator of Castro, Gomez & Tejada (2009).
-    Prefix coalitions are packed bitmask words, so any sensor count works;
-    each distinct prefix and one-member coalition is valued once, in one
-    batch, and the standalone values are that batch's one-member
-    coalitions. The per-ordering marginals telescope to the
+    Any sensor count works. The per-ordering marginals telescope to the
     grand value, so the estimates sum to it up to accumulation rounding
     regardless of sample size. Results are bitwise reproducible for a fixed
     (model, metric, num_permutations, seed). A sensor whose marginals sum
@@ -302,6 +271,8 @@ def shapley_sampled(
     orderings = rng.permuted(
         np.tile(np.arange(p, dtype=np.int64), (num_permutations, 1)), axis=1
     )
+    # Prefix coalitions as packed bitmask words; each distinct prefix and
+    # one-member coalition is valued once, in one batch.
     singles = pack_masks(np.eye(p, dtype=bool))
     prefixes = np.bitwise_or.accumulate(singles[orderings], axis=1)
     rows = np.concatenate([prefixes.reshape(-1, singles.shape[1]), singles])
@@ -390,9 +361,10 @@ def _agreeing(values, pool, first, second, members) -> np.ndarray:
     # holding no member. With pool None those are all such S: zero bits
     # inserted at the members (a no-op at bit 0), lower first, into
     # 0 .. 2^(p - members) - 1. Else they are the pool's, at most
-    # C(24, 2) * 4096 = 1.1M values. A screen, the top few or the pool's
-    # first _SCREEN << members, is read for every row, then all of them for
-    # the rows agreeing on it; a disagreement among the few is one among all.
+    # C(24, 2) * 4096 = 1.1M values. A screen, the top few (the largest
+    # masks, where min-eig values are non-zero) or the pool's first
+    # _SCREEN << members, is read for every row, then all of them for the
+    # rows agreeing on it; a disagreement among the few is one among all.
     agreeing = np.ones(len(first), dtype=bool)
     rows = slice(None)
     for screen in (True, False):
@@ -420,13 +392,9 @@ def verify_axioms(result: AttributionResult) -> AxiomReport:
     The coalition values are the table the exact result carries. Symmetric
     pairs are sensors j, k whose additions are interchangeable for every
     tested coalition containing neither; dummies are sensors whose addition
-    never changes any tested coalition's value. Each candidate is screened
-    on a few of its coalitions first, the largest masks (where min-eig
-    values are non-zero) or the first ones of the sampled pool, and only
-    the candidates that pass are confirmed on all of them; the verdicts are
-    those of testing every coalition. Detected pairs must have equal
-    Shapley values and detected dummies must have Shapley value zero, both
-    within 1e-6. Failures are reported, not raised.
+    never changes any tested coalition's value. Detected pairs must have
+    equal Shapley values and detected dummies must have Shapley value zero,
+    both within 1e-6. Failures are reported, not raised.
     """
     values = result.values_by_bitmask
     if result.method.kind != "exact" or values is None:

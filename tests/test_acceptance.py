@@ -233,10 +233,12 @@ def test_axiom_suite(corpus100):
             worst_dummy = max(worst_dummy, abs(float(phi[-1])))
 
         trace_result = shapley_exact(model, TRACE)
-        scale = np.maximum(1.0, np.abs(trace_result.standalone_values))
+        standalone = trace_result.standalone_values
+        deviations = np.abs(trace_result.shapley_values - standalone)
+        scale = np.maximum(1.0, np.abs(standalone))
         worst_trace_dev = max(
             worst_trace_dev,
-            float(np.max(trace_result.standalone_deviations / scale)),
+            float(np.max(deviations / scale)),
         )
 
         p = model.sensor_count

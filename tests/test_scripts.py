@@ -16,7 +16,7 @@ from sensor_shapley import (
 )
 from sensor_shapley.shapley import _unique_rows
 
-from conftest import load_script
+from conftest import SCRIPTS, load_script
 
 
 @pytest.mark.parametrize("kind", list(ValueFunctionKind))
@@ -55,3 +55,14 @@ def test_time_bank_hashes_the_bank_of_its_model():
     assert min(bank_ms, peak_mb) >= 0.0
     bank = per_sensor_gramians(model)
     assert digest == hashlib.sha256(bank.tobytes()).hexdigest()
+
+
+def test_count_lines_splits_every_line_of_each_module():
+    script = load_script("count_lines")
+    for path in sorted((SCRIPTS.parent / "src" / "sensor_shapley").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        counts = script.count(text)
+        assert sum(counts.values()) == len(text.splitlines()), path.name
+        assert counts["code"] > 0, path.name
+    sample = '"""Doc.\n\nMore."""\n\n# note\nx = 1  # trailing\n'
+    assert script.count(sample) == {"code": 1, "docstring": 3, "comment": 1, "blank": 1}
