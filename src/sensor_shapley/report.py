@@ -39,11 +39,9 @@ _SENSOR_FIELDS = {"name", "row"}
 
 
 class ModelDocumentError(ValueError):
-    """A model file was rejected; ``kind`` is syntax, schema, or validation."""
+    """A model file was rejected: a syntax, schema or validation error."""
 
     def __init__(self, kind: str, message: str, location: str | None = None):
-        self.kind = kind
-        self.location = location
         where = f" at {location}" if location else ""
         super().__init__(f"model document {kind} error{where}: {message}")
 

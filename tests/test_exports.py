@@ -1,7 +1,8 @@
 """Every name a module lists in ``__all__`` resolves. A stale entry raises
 nothing on a plain import, only when someone runs ``from module import *``.
-README.md documents every name the top level exports, and every name the
-package's docstrings and comments quote still exists."""
+README.md documents every name the top level exports, its Python examples
+run, and every name the package's docstrings and comments quote still
+exists."""
 
 import ast
 import builtins
@@ -43,6 +44,14 @@ def test_every_top_level_name_is_in_the_readme():
         if not re.search(rf"\b{name}\b", readme)
     ]
     assert not missing
+
+
+def test_every_python_example_in_the_readme_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 _MISSING = object()
