@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Rewrite the same-bits manifest of a fixed corpus of CLI runs.
+"""Rewrite the same-bits manifest of a fixed corpus of CLI runs, and the
+golden files that hold the stdout of its pinned invocations.
 
 The corpus is about 200 seeded in-process ``sensor_shapley.cli.main``
 invocations:
@@ -13,7 +14,9 @@ invocations:
   partial table;
 * ``check``, ``--horizon`` and ``--tolerance``;
 * every schema and validation violation, flag errors, unstable dynamics and
-  sums near the float range.
+  sums near the float range;
+* last, the ``GOLDENS``: both scenarios' reports and ``check`` output, and
+  report shapes the scenarios do not reach, each as ``golden-<file>``.
 
 Each manifest line holds one invocation's id, its exit code (or the name of
 an exception that escaped ``main``) and the sha256 of its standard output and
@@ -22,12 +25,15 @@ records the numpy and BLAS versions and the CPU kernel (core) OpenBLAS
 picked at load time, since the bits of the eigen-solves and of ``np.dot``
 depend on all three.
 
-``tests/test_same_bits.py`` re-runs the corpus and names every id whose line
-differs, once on the core OpenBLAS picks, against
-``tests/same_bits_manifest.txt``, and once in a child process pinned to the
-Haswell kernel, against ``tests/same_bits_manifest.Haswell.txt``. After a
-deliberate behaviour change, rewrite both from the repository root and list
-the ids that changed in CHANGES.md:
+Each BLAS core has its own manifest: ``tests/same_bits_manifest.txt`` for
+the core its header records, ``tests/same_bits_manifest.<core>.txt`` (such
+as ``Haswell``) for any other, and a run uses the one of the core OpenBLAS
+runs on. Writing the default manifest also writes each ``golden-<file>``
+id's stdout to ``tests/golden/<file>``. ``tests/test_same_bits.py`` re-runs
+the corpus and names every id whose line differs, on this run's core and on
+Haswell. After a deliberate behaviour change, rewrite both manifests from the
+repository root, read what changed with ``git diff tests/golden``, and list
+the changed ids in CHANGES.md:
 
     PYTHONPATH=src python3 scripts/same_bits_corpus.py
     OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python3 scripts/same_bits_corpus.py
@@ -38,7 +44,7 @@ import ctypes
 import hashlib
 import io
 import json
-import os
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -47,7 +53,9 @@ import numpy as np
 
 from sensor_shapley.cli import main
 
-MANIFEST = Path(__file__).resolve().parent.parent / "tests" / "same_bits_manifest.txt"
+TESTS = Path(__file__).resolve().parent.parent / "tests"
+MANIFEST = TESTS / "same_bits_manifest.txt"
+GOLDEN_DIR = TESTS / "golden"
 
 
 def random_payload(seed: int, p: int, n: int, horizon: int) -> dict:
@@ -185,6 +193,75 @@ FLAG_ERRORS = {
     "flag-no-model": ["analyze"],
 }
 
+# Models whose reports reach shapes the scenarios do not: in twin, a and b
+# are interchangeable, z observes nothing, and no sensor sees the second
+# state, so the min-eig grand value is 0 (no share_of_total); in wide, s0 and
+# s3 are interchangeable, s4 observes nothing, and 13 sensors are more than
+# verify_axioms checks exhaustively.
+REPORT_MODELS = {
+    "twin": {
+        "name": "twin",
+        "state_matrix": [[0.9, 0.0], [0.0, 0.7]],
+        "sensors": [
+            {"name": "a", "row": [1.0, 0.0]},
+            {"name": "b", "row": [1.0, 0.0]},
+            {"name": "z", "row": [0.0, 0.0]},
+        ],
+        "horizon_samples": 4,
+    },
+    "wide": {
+        "name": "wide",
+        **payload(
+            [[0.5, 0.25], [0.0, 0.5]],
+            [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0], [0.0, 0.0]]
+            + [[float(k), 1.0] for k in range(2, 10)],
+            3,
+        ),
+    },
+}
+
+# The report pins: a model of REPORT_MODELS and the flags it runs with.
+REPORT_PINS = {
+    "twin_trace": ["twin", "--metric", "trace"],
+    "twin": ["twin"],
+    "wide_trace": ["wide", "--metric", "trace"],
+    "twin_trace_sampled": [
+        "twin", "--metric", "trace", "--sample", "16", "--seed", "3",
+    ],
+}
+
+# Each file in tests/golden/ and the command line whose stdout it holds, run
+# as the id golden-<file>: the scenarios' reports, then each report pin as
+# JSON and as a table, on its model file in {directory}, where the corpus
+# writes its models. tests/test_cli.py's golden test ids carry each entry's
+# position (argvN), so a new entry goes last.
+GOLDENS = {
+    "analyze_scenario2_trace.json": [
+        "analyze", "--scenario", "2", "--format", "json", "--metric", "trace",
+    ],
+    "analyze_scenario2_sampled.json": [
+        "analyze", "--scenario", "2", "--format", "json",
+        "--sample", "2000", "--seed", "0",
+    ],
+    "analyze_scenario1_table.txt": ["analyze", "--scenario", "1", "--format", "table"],
+    "analyze_scenario2_table.txt": ["analyze", "--scenario", "2", "--format", "table"],
+    "analyze_scenario2_sampled_table.txt": [
+        "analyze", "--scenario", "2", "--format", "table",
+        "--sample", "2000", "--seed", "0",
+    ],
+    "check_scenario1.txt": ["check", "--scenario", "1"],
+    "check_scenario2.txt": ["check", "--scenario", "2"],
+    "analyze_scenario1.json": ["analyze", "--scenario", "1", "--format", "json"],
+    "analyze_scenario2.json": ["analyze", "--scenario", "2", "--format", "json"],
+    **{
+        f"analyze_{case}{suffix}": [
+            "analyze", "--model", f"{{directory}}/{model}.json", *flags, *form,
+        ]
+        for case, (model, *flags) in REPORT_PINS.items()
+        for suffix, form in ((".json", ["--format", "json"]), ("_table.txt", []))
+    },
+}
+
 
 def invocations(directory: Path) -> list[tuple[str, list[str]]]:
     """The corpus as (id, argv) pairs, its model files written into
@@ -274,6 +351,12 @@ def invocations(directory: Path) -> list[tuple[str, list[str]]]:
     for name, text in RAW_DOCUMENTS.items():
         runs.append((name, ["analyze"] + model_file(name, text)))
     runs += list(FLAG_ERRORS.items())
+
+    for name, doc in REPORT_MODELS.items():
+        model_file(name, json.dumps(doc))
+    for name, argv in GOLDENS.items():
+        argv = [arg.format(directory=directory) for arg in argv]
+        runs.append((f"golden-{name}", argv))
     return runs
 
 
@@ -293,14 +376,20 @@ def run(argv: list[str]) -> tuple[str, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def outcomes(directory: Path) -> list[tuple[str, str, str, str]]:
+    """(id, exit code, stdout, stderr plus warnings) of every invocation."""
+    return [(run_id, *run(argv)) for run_id, argv in invocations(directory)]
+
+
+def manifest_line(run_id: str, code: str, out: str, err: str) -> str:
+    """An invocation's line: id, exit code, sha256(stdout), sha256(stderr)."""
+    digests = [hashlib.sha256(text.encode()).hexdigest() for text in (out, err)]
+    return " ".join([run_id, code, *digests])
+
+
 def manifest_lines(directory: Path) -> list[str]:
-    """One line per invocation: id, exit code, sha256(stdout), sha256(stderr)."""
-    lines = []
-    for run_id, argv in invocations(directory):
-        code, out, err = run(argv)
-        digests = [hashlib.sha256(text.encode()).hexdigest() for text in (out, err)]
-        lines.append(" ".join([run_id, code, *digests]))
-    return lines
+    """One line per invocation."""
+    return [manifest_line(*outcome) for outcome in outcomes(directory)]
 
 
 def blas_core() -> str:
@@ -334,21 +423,49 @@ def header() -> list[str]:
     ]
 
 
+def recorded_core() -> str:
+    """The BLAS core ``MANIFEST``'s header records."""
+    text = MANIFEST.read_text(encoding="utf-8")
+    return re.search(r"^# blas core (.*)$", text, re.MULTILINE).group(1)
+
+
 def manifest_path() -> Path:
-    """This run's manifest: ``MANIFEST`` for the core OpenBLAS picks, or,
-    with a core pinned by ``OPENBLAS_CORETYPE``, the manifest named after
-    it, such as ``tests/same_bits_manifest.Haswell.txt``."""
-    if "OPENBLAS_CORETYPE" not in os.environ:
+    """This run's manifest: ``MANIFEST`` when OpenBLAS runs on the core it
+    records, else the manifest named after the running core, such as
+    ``tests/same_bits_manifest.Haswell.txt``."""
+    core = blas_core()
+    if core == recorded_core():
         return MANIFEST
-    return MANIFEST.with_name(f"same_bits_manifest.{blas_core()}.txt")
+    return MANIFEST.with_name(f"same_bits_manifest.{core}.txt")
+
+
+def read_manifest(path: Path) -> tuple[list[str], dict[str, str]]:
+    """A manifest's header lines and its invocation lines by id. A core with
+    no manifest fails in one line naming it and the core of ``MANIFEST``."""
+    if not path.exists():
+        raise FileNotFoundError(
+            f"no same-bits manifest for BLAS core {blas_core()} ({path.name}); "
+            f"{MANIFEST.name} records BLAS core {recorded_core()}"
+        )
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = [line for line in lines if line.startswith("#")]
+    runs = {line.split()[0]: line for line in lines if line not in header}
+    return header, runs
 
 
 def write_manifest() -> None:
     path = manifest_path()
     with tempfile.TemporaryDirectory() as directory:
-        lines = manifest_lines(Path(directory))
+        runs = outcomes(Path(directory))
+    lines = [manifest_line(*outcome) for outcome in runs]
     path.write_text("\n".join(header() + lines) + "\n", encoding="utf-8")
     print(f"wrote {path} ({len(lines)} invocations)")
+    if path == MANIFEST:  # the goldens hold the bytes of MANIFEST's core
+        for run_id, _, out, _ in runs:
+            if run_id.startswith("golden-"):
+                golden = GOLDEN_DIR / run_id.removeprefix("golden-")
+                golden.write_text(out, encoding="utf-8")
+        print(f"wrote {len(GOLDENS)} files in {GOLDEN_DIR}")
 
 
 if __name__ == "__main__":

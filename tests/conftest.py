@@ -98,21 +98,6 @@ def load_script(name):
     return module
 
 
-def blas_cores() -> str:
-    """This run's OpenBLAS core beside the one the same-bits manifest header
-    records, for the failure message of a golden comparison: min-eig and
-    Shapley digits depend on the core, so a machine with another kernel
-    reads as this one line rather than as a diff of digits."""
-    corpus = load_script("same_bits_corpus")
-    prefix = "# blas core "
-    lines = corpus.MANIFEST.read_text(encoding="utf-8").splitlines()
-    recorded = [line[len(prefix) :] for line in lines if line.startswith(prefix)]
-    return (
-        f"BLAS core {corpus.blas_core()} in this run, "
-        f"{recorded[0] if recorded else 'unrecorded'} in the same-bits manifest"
-    )
-
-
 @st.composite
 def lti_models(draw, max_states=4, max_sensors=5, max_horizon=8, scale=2.0):
     n = draw(st.integers(1, max_states))

@@ -5,11 +5,9 @@ failure) and asserts every sub-check at its pinned tolerance. The random
 corpora are seeded in conftest, so every run exercises identical models.
 """
 
-import contextlib
-import io
+import hashlib
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,22 +20,19 @@ from sensor_shapley import (
     shapley_sampled,
     value_table,
 )
-from sensor_shapley.cli import main
 from sensor_shapley.model import LtiModel, Sensor
 from sensor_shapley.shapley import _observability_matrix, shapley_from_table
 
 from conftest import (
     attribution_corpus,
-    blas_cores,
     coalition_gramians,
     gramian_corpus,
+    load_script,
 )
 from oracles import gramian_direct
 
 TRACE = ValueFunctionKind.TRACE
 MIN_EIG = ValueFunctionKind.MIN_EIGENVALUE
-
-GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def _report(label: str, failures: list) -> None:
@@ -292,30 +287,27 @@ def test_sampling_estimator(scenario2_model):
 
 def test_cli_contract(tmp_path):
     failures: list = []
-
-    def run(argv):
-        out = io.StringIO()
-        err = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        return code, out.getvalue(), err.getvalue()
-
+    # an in-process CLI run, (exit code as text, stdout, stderr), and the
+    # JSON reports' bytes as the same-bits manifest of this run's BLAS core
+    # records them
+    corpus = load_script("same_bits_corpus")
+    run = corpus.run
+    manifest = corpus.manifest_path()
+    _, recorded = corpus.read_manifest(manifest)
     for sid in (1, 2):
-        golden = (GOLDEN_DIR / f"analyze_scenario{sid}.json").read_text(
-            encoding="utf-8"
-        )
         code, out, _ = run(["analyze", "--scenario", str(sid), "--format", "json"])
-        _check(failures, code == 0, f"scenario {sid} exited {code}")
+        _check(failures, code == "0", f"scenario {sid} exited {code}")
+        golden = recorded[f"golden-analyze_scenario{sid}.json"].split()[2]
         _check(
             failures,
-            out == golden,
-            f"scenario {sid} JSON differs from the golden file ({blas_cores()})",
+            hashlib.sha256(out.encode()).hexdigest() == golden,
+            f"scenario {sid} JSON differs from its golden in {manifest.name}",
         )
 
     bad = tmp_path / "bad.json"
     bad.write_text("{broken", encoding="utf-8")
     code, _, err = run(["analyze", "--model", str(bad)])
-    _check(failures, code == 2 and "syntax" in err, f"malformed input exited {code}")
+    _check(failures, code == "2" and "syntax" in err, f"malformed input exited {code}")
 
     schema_bad = tmp_path / "schema.json"
     schema_bad.write_text(
@@ -329,7 +321,7 @@ def test_cli_contract(tmp_path):
         encoding="utf-8",
     )
     code, _, err = run(["analyze", "--model", str(schema_bad)])
-    _check(failures, code == 2 and "schema" in err, f"schema violation exited {code}")
+    _check(failures, code == "2" and "schema" in err, f"schema violation exited {code}")
 
     wide = tmp_path / "wide.json"
     wide.write_text(
@@ -345,7 +337,7 @@ def test_cli_contract(tmp_path):
         encoding="utf-8",
     )
     code, _, _ = run(["analyze", "--model", wide.as_posix(), "--metric", "trace"])
-    _check(failures, code == 3, f"cap overflow exited {code}, expected 3")
+    _check(failures, code == "3", f"cap overflow exited {code}, expected 3")
 
     blind = tmp_path / "blind.json"
     blind.write_text(
@@ -359,6 +351,6 @@ def test_cli_contract(tmp_path):
         encoding="utf-8",
     )
     code, _, _ = run(["check", "--model", str(blind)])
-    _check(failures, code == 1, f"unobservable check exited {code}, expected 1")
+    _check(failures, code == "1", f"unobservable check exited {code}, expected 1")
 
     _report("cli contract (goldens + exit codes)", failures)

@@ -7,7 +7,6 @@ from sensor_shapley import (
     LtiModel,
     Sensor,
     ValueFunctionKind,
-    is_observable,
     parse_model_document,
     render_json,
     render_model_document,
@@ -20,10 +19,8 @@ from sensor_shapley.report import ModelDocument, ModelDocumentError
 from sensor_shapley.scenarios import emit_scenarios, scenario_document
 
 from conftest import attribution_corpus
-from report_pins import PINNED_REPORTS
 
 MIN_EIG = ValueFunctionKind.MIN_EIGENVALUE
-TRACE = ValueFunctionKind.TRACE
 
 
 def valid_payload():
@@ -226,44 +223,6 @@ class TestReportDocument:
         }
         text = render_table("s2", result, True, None)
         assert "permutation-sampling" in text
-
-
-def twin_and_dummy_model():
-    # a and b are interchangeable, z observes nothing, and no sensor sees the
-    # second state, so the min-eig grand value is 0
-    rows = {"a": [1.0, 0.0], "b": [1.0, 0.0], "z": [0.0, 0.0]}
-    sensors = tuple(Sensor(name, row) for name, row in rows.items())
-    return LtiModel([[0.9, 0.0], [0.0, 0.7]], sensors, 4)
-
-
-def wide_model():
-    # s0 and s3 are interchangeable, s4 observes nothing, and 13 sensors are
-    # more than verify_axioms checks exhaustively
-    rows = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0], [0.0, 0.0]]
-    rows += [[float(k), 1.0] for k in range(2, 10)]
-    sensors = tuple(Sensor(f"s{i}", row) for i, row in enumerate(rows))
-    return LtiModel([[0.5, 0.25], [0.0, 0.5]], sensors, 3)
-
-
-class TestPinnedReports:
-    @pytest.mark.parametrize(
-        "case, name, model, kind",
-        [
-            ("twin-trace", "twin", twin_and_dummy_model(), TRACE),
-            ("twin-min-eig", "twin", twin_and_dummy_model(), MIN_EIG),
-            ("wide-trace", "wide", wide_model(), TRACE),
-        ],
-    )
-    def test_exact_report_bytes(self, case, name, model, kind):
-        result = shapley_exact(model, kind)
-        args = name, result, is_observable(result.grand_gramian), verify_axioms(result)
-        assert render_json(*args) + render_table(*args) == PINNED_REPORTS[case]
-
-    def test_sampled_report_bytes(self):
-        result = shapley_sampled(twin_and_dummy_model(), TRACE, 16, seed=3)
-        args = "twin", result, is_observable(result.grand_gramian), None
-        text = render_json(*args) + render_table(*args)
-        assert text == PINNED_REPORTS["twin-trace-sampled"]
 
 
 class TestEmitScenarios:

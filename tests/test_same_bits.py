@@ -1,6 +1,7 @@
 """Every invocation of the same-bits corpus keeps the exit code, stdout and
-stderr recorded in the manifest (see scripts/same_bits_corpus.py), on the
-BLAS core of this run and on OpenBLAS's Haswell kernel."""
+stderr recorded in the manifest of its BLAS core (see
+scripts/same_bits_corpus.py), on the core of this run and on OpenBLAS's
+Haswell kernel."""
 
 import json
 import os
@@ -12,29 +13,33 @@ from conftest import load_script
 
 TESTS = Path(__file__).resolve().parent
 
-# Prints [manifest path, header, invocation lines] of a corpus run as JSON.
+# Prints corpus_run of a directory as JSON.
 CHILD = """
 import json, sys
 from pathlib import Path
-from conftest import load_script
-corpus = load_script("same_bits_corpus")
-lines = corpus.manifest_lines(Path(sys.argv[1]))
-print(json.dumps([str(corpus.manifest_path()), corpus.header(), lines]))
+from test_same_bits import corpus_run
+print(json.dumps(corpus_run(Path(sys.argv[1]))))
 """
 
 
-def assert_keeps_its_bits(manifest: Path, header: list[str], lines: list[str]):
-    recorded = manifest.read_text(encoding="utf-8").splitlines()
-    taken = [line for line in recorded if line.startswith("#")]
+def corpus_run(directory: Path) -> tuple:
+    """This run's manifest (name, header, lines by id), header and lines."""
+    corpus = load_script("same_bits_corpus")
+    manifest = corpus.manifest_path()
+    taken, expected = corpus.read_manifest(manifest)
+    lines = corpus.manifest_lines(directory)
+    return manifest.name, taken, expected, corpus.header(), lines
+
+
+def assert_keeps_its_bits(name, taken, expected, header, lines):
     # versions and the BLAS core: a mismatch names both sides in one line,
     # not the ids whose bits it moves
     then, here = ("; ".join(line[2:] for line in side[1:]) for side in (taken, header))
     assert taken == header, (
-        f"{manifest.name} was taken with {then} but this run has {here}; "
+        f"{name} was taken with {then} but this run has {here}; "
         f"rewrite it with scripts/same_bits_corpus.py on the parent commit "
         f"before comparing"
     )
-    expected = {line.split()[0]: line for line in recorded if line not in taken}
     actual = {line.split()[0]: line for line in lines}
     changed = [run_id for run_id in actual if actual[run_id] != expected.get(run_id)]
     missing = [run_id for run_id in expected if run_id not in actual]
@@ -45,9 +50,7 @@ def assert_keeps_its_bits(manifest: Path, header: list[str], lines: list[str]):
 
 
 def test_every_invocation_keeps_its_bits(tmp_path):
-    corpus = load_script("same_bits_corpus")
-    lines = corpus.manifest_lines(tmp_path)
-    assert_keeps_its_bits(corpus.manifest_path(), corpus.header(), lines)
+    assert_keeps_its_bits(*corpus_run(tmp_path))
 
 
 def test_every_invocation_keeps_its_bits_on_the_haswell_kernel(tmp_path):
@@ -63,5 +66,4 @@ def test_every_invocation_keeps_its_bits_on_the_haswell_kernel(tmp_path):
         text=True,
     )
     assert child.returncode == 0, child.stderr
-    manifest, header, lines = json.loads(child.stdout)
-    assert_keeps_its_bits(Path(manifest), header, lines)
+    assert_keeps_its_bits(*json.loads(child.stdout))

@@ -1,4 +1,5 @@
-"""The timing scripts run at small sizes and time what the package computes."""
+"""The timing scripts run at small sizes and time what the package computes;
+the same-bits corpus reads and writes the manifest of the running BLAS core."""
 
 import hashlib
 import os
@@ -96,3 +97,57 @@ def test_count_lines_splits_every_line_of_each_module():
         assert counts["code"] > 0, path.name
     sample = '"""Doc.\n\nMore."""\n\n# note\nx = 1  # trailing\n'
     assert script.count(sample) == {"code": 1, "docstring": 3, "comment": 1, "blank": 1}
+
+
+@pytest.mark.parametrize("coretype", [None, "Haswell"])
+@pytest.mark.parametrize(
+    "core, manifest",
+    [
+        ("SkylakeX", "same_bits_manifest.txt"),
+        ("Haswell", "same_bits_manifest.Haswell.txt"),
+        ("unknown", "same_bits_manifest.unknown.txt"),
+    ],
+)
+def test_same_bits_manifest_follows_the_running_blas_core(
+    monkeypatch, core, manifest, coretype
+):
+    # the running core alone picks the manifest, whether OPENBLAS_CORETYPE
+    # is set or not
+    corpus = load_script("same_bits_corpus")
+    monkeypatch.setattr(corpus, "blas_core", lambda: core)
+    monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+    if coretype:
+        monkeypatch.setenv("OPENBLAS_CORETYPE", coretype)
+    path = corpus.manifest_path()
+    assert path == corpus.MANIFEST.with_name(manifest)
+    if core == "unknown":
+        with pytest.raises(FileNotFoundError) as exc:
+            corpus.read_manifest(path)
+        assert str(exc.value) == (
+            f"no same-bits manifest for BLAS core unknown ({manifest}); "
+            "same_bits_manifest.txt records BLAS core SkylakeX"
+        )
+    else:
+        header, _ = corpus.read_manifest(path)
+        assert f"# blas core {core}" in header
+
+
+@pytest.mark.parametrize("core", ["SkylakeX", "Haswell"])
+def test_same_bits_corpus_writes_the_goldens_with_the_default_manifest_only(
+    tmp_path, monkeypatch, core
+):
+    corpus = load_script("same_bits_corpus")
+    monkeypatch.setattr(corpus, "MANIFEST", tmp_path / "same_bits_manifest.txt")
+    corpus.MANIFEST.write_text("# blas core SkylakeX\n", encoding="utf-8")
+    monkeypatch.setattr(corpus, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(corpus, "blas_core", lambda: core)
+    runs = [("golden-a.txt", "0", "report\n", ""), ("p01-check", "1", "", "no\n")]
+    monkeypatch.setattr(corpus, "outcomes", lambda directory: runs)
+    corpus.write_manifest()
+    lines = corpus.manifest_path().read_text(encoding="utf-8").splitlines()
+    assert lines == corpus.header() + [corpus.manifest_line(*run) for run in runs]
+    golden = tmp_path / "a.txt"
+    if core == "SkylakeX":
+        assert golden.read_text(encoding="utf-8") == "report\n"
+    else:
+        assert not golden.exists()
