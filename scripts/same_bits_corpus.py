@@ -12,6 +12,8 @@ invocations:
 * p = 25, 40 and 70 sampled, and refused by the exact enumeration cap;
 * 13 sensors on 24 states, where the exact table adds high members to a
   partial table;
+* windows of 1000 samples on 24 states and 6000 on 3, whose banks take many
+  blocks of samples;
 * ``check``, ``--horizon`` and ``--tolerance``;
 * every schema and validation violation, flag errors, unstable dynamics and
   sums near the float range;
@@ -71,6 +73,16 @@ def random_payload(seed: int, p: int, n: int, horizon: int) -> dict:
     if p >= 4:
         rows[1] = 0.0
         rows[-1] = rows[0]
+    return payload(a.tolist(), rows.tolist(), horizon)
+
+
+def orthogonal_payload(p: int, n: int, horizon: int) -> dict:
+    # An orthogonal A (neither growing nor decaying over a long window) and
+    # rows with about a fifth of their entries exactly zero, seeded by size.
+    rng = np.random.default_rng((p, n, horizon))
+    a = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    rows = rng.standard_normal((p, n))
+    rows[rng.random((p, n)) < 0.2] = 0.0
     return payload(a.tolist(), rows.tolist(), horizon)
 
 
@@ -171,6 +183,18 @@ EDGE_MODELS = {
     "float-range-sum": payload([[1.0]], [[8e153]] * 3, 1),
     # 100 marginals of 9e306 sum past the float range in the sampler
     "float-range-sampled": payload([[1.0]], [[3e153]], 1),
+}
+
+# Long windows: an orthogonal A on 24 states, as in perfbench's long-horizon
+# workload, and a rotation plane beside a unit mode on 3 states, whose rows'
+# zeros in the plane make a -0.0 product at every sample.
+LONG_WINDOWS = {
+    "long-window-p8-n24-h1000": orthogonal_payload(8, 24, 1000),
+    "long-window-p3-n3-h6000": payload(
+        [[0.8, -0.6, 0.0], [0.6, 0.8, 0.0], [0.0, 0.0, 1.0]],
+        [[0.0, 0.0, -1.5], [1.0, -0.5, 0.0], [0.0, 0.25, -2.0]],
+        6000,
+    ),
 }
 
 ANALYZE_FORMS = {
@@ -318,6 +342,12 @@ def invocations(directory: Path) -> list[tuple[str, list[str]]]:
     source = model_file("wide-state", json.dumps(random_payload(24, 13, 24, 6)))
     for form in ("trace-json", "json", "check"):
         runs.append((f"wide-state-p13-{form}", ANALYZE_FORMS[form] + source))
+
+    # windows of many blocks of samples, the last one partial, for the bank
+    for name, doc in LONG_WINDOWS.items():
+        source = model_file(name, json.dumps(doc))
+        for form in ("trace-json", "json"):
+            runs.append((f"{name}-{form}", ANALYZE_FORMS[form] + source))
 
     for sid in ("1", "2"):
         scenario = ["--scenario", sid]

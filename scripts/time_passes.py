@@ -14,8 +14,10 @@ each peak comes from a call of its own and every timed call runs untraced.
   ``ru_maxrss``, and the sha256 of the table followed by φ.
 * The per-sensor Gramian bank (``per_sensor_gramians``) of a model with an
   orthogonal state matrix, at perfbench's (p, n, h) = (10, 6, 10), (40, 6, 10)
-  and (8, 24, 1000), plus (40, 24, 1000) and (600, 64, 2), whose bank is above
-  the outer-product byte budget: the median time, the peak and the sha256.
+  and (8, 24, 1000), plus (40, 24, 1000), (600, 64, 2), whose sensors take
+  many groups of the bank's byte budget, and (3, 6, 5000), whose window takes
+  many blocks of samples, the last one partial: the median time, the peak and
+  the sha256.
 * The permutation sampler's prefix batches at p = 25, 40, 70 and 100 (n = 6,
   h = 10), the distinct prefixes of 100 seeded orderings as
   ``shapley_sampled`` values them: the median times of the sums alone
@@ -57,7 +59,8 @@ from sensor_shapley import (
 )
 from sensor_shapley.shapley import _attribution, shapley_from_table
 
-BANK_SHAPES = ((10, 6, 10), (40, 6, 10), (8, 24, 1000), (40, 24, 1000), (600, 64, 2))
+BANK_SHAPES = ((10, 6, 10), (40, 6, 10), (8, 24, 1000), (40, 24, 1000), (600, 64, 2),
+               (3, 6, 5000))
 SAMPLED_COUNTS = (25, 40, 70, 100)
 EXACT_SIZES = (("trace", 16), ("trace", 20), ("trace", 22), ("trace", 24),
                ("min-eig", 16), ("min-eig", 20), ("min-eig", 22))

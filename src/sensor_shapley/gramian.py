@@ -23,9 +23,10 @@ __all__ = ["is_observable", "per_sensor_gramians"]
 PSD_RTOL = 1e-9
 PSD_FLOOR = 1e-12
 
-# The byte budget of the bank's outer-product buffer and of a chunk of
-# coalition Gramians in ``metrics``: neither's memory grows with p or 2^p.
-_CHUNK_BYTES = 1 << 23
+# The byte budget of the bank's outer-product buffer, a group of sensors'
+# outer products over a block of samples: its memory grows with neither p
+# nor the window.
+_BANK_BYTES = 1 << 19
 
 
 def _eigenvalues(gramians: np.ndarray) -> np.ndarray:
@@ -63,34 +64,38 @@ def per_sensor_gramians(model: LtiModel) -> np.ndarray:
     p, n, h = model.sensor_count, model.state_dimension, model.horizon_samples
     bank = np.zeros((p, n, n))
     rows = np.stack([sensor.row for sensor in model.sensors])[:, None, :]
-    blocks = np.empty_like(rows)
-    group = min(p, max(1, _CHUNK_BYTES // (8 * n * n)))
-    outers = np.empty((group, n, n))
-    columns = blocks.transpose(0, 2, 1)
-    groups = [
-        (
-            columns[i : i + group],
-            blocks[i : i + group],
-            bank[i : i + group],
-            outers[: min(group, p - i)],
-        )
-        for i in range(0, p, group)
-    ]
-    # Per sample, one matmul writes every sensor's c_i A^k (a gufunc over the
-    # same (1, n) @ (n, n) cores, so each block has its own product's bits),
-    # then per group of sensors whose outer products fit _CHUNK_BYTES one
-    # multiply writes them and one add puts them on the bank. The buffers and
-    # views are made once, so a sample creates no array but the next power
-    # of A. Entries (i, j) and (j, i) are the same products added in the same
-    # order, so the bank is symmetric without a check.
+    group = min(p, max(1, _BANK_BYTES // (8 * n * n)))
+    samples = min(h, max(1, _BANK_BYTES // (8 * group * n * n)))
+    powers = np.empty((samples, 1, n, n))
+    outputs = np.empty((samples, p, 1, n))
+    outers = np.empty((samples, group, n, n))
+    # A block of samples at a time: the chain power <- power @ A fills the
+    # block's powers of A, one matmul writes every sensor's c_i A^k for all
+    # of them (a gufunc over the same (1, n) @ (n, n) cores, so each has its
+    # own product's bits), and per group of sensors one einsum writes their
+    # outer products, which are added onto the slots in ascending k. einsum
+    # writes each product as 0.0 + a * b, which differs from a * b only where
+    # that is -0.0; a slot starts at +0.0, and a sum from +0.0 never rounds
+    # to -0.0, so adding either zero leaves the same bits. Fewer, longer
+    # calls are the gain, and a cache-sized budget keeps the buffer they
+    # write in L2; a larger one would also add its size to every bank's
+    # peak. Entries (i, j) and (j, i) are the same products added in the
+    # same order, so the bank is symmetric without a check.
     power = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(h):
-            np.matmul(rows, power, out=blocks)
-            for column, block, slots, outer in groups:
-                np.multiply(column, block, out=outer)
-                np.add(slots, outer, out=slots)
-            power = power @ model.state_matrix
+        for start in range(0, h, samples):
+            k = min(samples, h - start)
+            for t in range(k):
+                powers[t, 0] = power
+                power = power @ model.state_matrix
+            np.matmul(rows, powers[:k], out=outputs[:k])
+            for i in range(0, p, group):
+                seen = outputs[:k, i : i + group, 0]
+                products = outers[:k, : seen.shape[1]]
+                np.einsum("tpi,tpj->tpij", seen, seen, out=products)
+                slots = bank[i : i + group]
+                for outer in products:
+                    np.add(slots, outer, out=slots)
         # Once a power of A overflows, inf * 0 spreads NaN into every slot,
         # also those of sensors blind to the growing mode.
         for i in np.flatnonzero(~np.isfinite(bank).all(axis=(1, 2))):

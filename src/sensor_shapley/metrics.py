@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .gramian import _CHUNK_BYTES, _eigenvalues, per_sensor_gramians
+from .gramian import _eigenvalues, per_sensor_gramians
 from .model import LtiModel, require_enumerable
 
 __all__ = [
@@ -31,6 +31,10 @@ __all__ = [
     "pack_masks",
     "value_table",
 ]
+
+# Coalitions are valued in chunks of about this many bytes of full n x n
+# Gramians, so a table's memory does not grow with 2^p.
+_CHUNK_BYTES = 1 << 23
 
 
 class ValueFunctionKind(Enum):

@@ -217,22 +217,89 @@ class TestPerSensorGramians:
             assert np.array_equal(bank[i].view(np.uint64), rebuilt.view(np.uint64)), i
 
     def test_working_memory_does_not_grow_with_the_horizon(self):
-        # no per-sample stack: at p = 40, n = 24, a thousand samples peak
-        # where ten do
-        short, long = (orthogonal_model(40, 24, h) for h in (10, 1000))
-        per_sensor_gramians(short)
-        assert abs(
-            traced_peak(per_sensor_gramians, long)
-            - traced_peak(per_sensor_gramians, short)
-        ) <= 1024
+        # at p = 40, n = 24 one group holds every sensor, so a block is
+        # budget // bank bytes samples; ten, a thousand or ten thousand
+        # samples peak within the bank, the budget and a block of powers
+        p, n = 40, 24
+        bank_bytes = 8 * p * n * n
+        powers_bytes = gramian._BANK_BYTES // bank_bytes * 8 * n * n
+        per_sensor_gramians(orthogonal_model(p, n, 10))
+        for h in (10, 1000, 10_000):
+            peak = traced_peak(per_sensor_gramians, orthogonal_model(p, n, h))
+            assert peak <= bank_bytes + gramian._BANK_BYTES + powers_bytes, h
 
     def test_working_memory_above_the_byte_budget(self):
-        # an 18.75 MiB bank, over gramian._CHUNK_BYTES: the outer products
+        # an 18.75 MiB bank, over gramian._BANK_BYTES: the outer products
         # are formed a group of sensors at a time, not in a bank-sized buffer
         model = orthogonal_model(600, 64, 2)
         bank = per_sensor_gramians(model)
-        assert bank.nbytes > gramian._CHUNK_BYTES
+        assert bank.nbytes > gramian._BANK_BYTES
         assert traced_peak(per_sensor_gramians, model) < 1.75 * bank.nbytes
+
+
+def bank_budgets(model):
+    """Bank byte budgets that make one call cover one sensor and one sample;
+    blocks of samples the last of which is shorter; several sensor groups;
+    and the default."""
+    p, n, h = model.sensor_count, model.state_dimension, model.horizon_samples
+    gramian_bytes = 8 * n * n
+    short_last = next(k for k in range(2, h + 2) if h % k)
+    return {
+        "one-by-one": 1,
+        "short-last-block": short_last * p * gramian_bytes,
+        "sensor-groups": 2 * gramian_bytes,
+        "default": gramian._BANK_BYTES,
+    }
+
+
+def assert_blocks_keep_the_bits(model):
+    # every budget's bank equals the default one and gramian_direct's
+    # members, as uint64
+    default = per_sensor_gramians(model)
+    for i in range(model.sensor_count):
+        direct = gramian_direct(model, 1 << i)
+        assert np.array_equal(default[i].view(np.uint64), direct.view(np.uint64)), i
+    for name, budget in bank_budgets(model).items():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gramian, "_BANK_BYTES", budget)
+            bank = per_sensor_gramians(model)
+        assert np.array_equal(bank.view(np.uint64), default.view(np.uint64)), name
+
+
+class TestBankBlocks:
+    # The bank's byte budget sets how many sensors and samples one call
+    # covers; no budget may change a bit.
+
+    @settings(max_examples=60, deadline=None)
+    @given(edge_models())
+    def test_block_size_cannot_change_the_bits_on_edge_models(self, model):
+        assert_blocks_keep_the_bits(model)
+
+    def test_block_size_cannot_change_the_bits_where_products_are_negative_zero(
+        self,
+    ):
+        # two rotation planes and a decaying mode; the rows mix negative
+        # entries and exact zeros, some on a whole plane, which A keeps zero,
+        # so outer products hold -0.0 (asserted at k = 0) where einsum
+        # writes +0.0
+        rotations = [
+            [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]] for t in (0.3, 1.1)
+        ]
+        state = np.zeros((5, 5))
+        state[:2, :2], state[2:4, 2:4], state[4, 4] = *rotations, 0.9
+        rows = [
+            [0.0, 0.0, -1.5, 0.25, -2.0],
+            [1.0, -0.5, 0.0, 0.0, -0.75],
+            [-3.0, 0.0, 0.0, -1.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, -1.0],
+            [-0.5, 2.0, -0.125, 1.0, 0.0],
+        ]
+        sensors = tuple(Sensor(f"s{i}", row) for i, row in enumerate(rows))
+        for h in (1, 2, 37, 600):
+            model = LtiModel(state, sensors, h)
+            first = np.array(rows)[:, :, None] * np.array(rows)[:, None, :]
+            assert np.any(np.signbit(first) & (first == 0.0))
+            assert_blocks_keep_the_bits(model)
 
 
 class TestCoalitionGramian:
