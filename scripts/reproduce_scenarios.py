@@ -10,15 +10,17 @@ the blind directions they repair in each other.
 
 import sys
 
+from sensor_shapley import ValueFunctionKind
 from sensor_shapley.cli import main
+from sensor_shapley.scenarios import SCENARIO_IDS
 
 
 def run() -> int:
-    for sid in ("1", "2"):
+    for sid in map(str, SCENARIO_IDS):
         print(f"=== scenario {sid}: observability verdicts ===")
         main(["check", "--scenario", sid])
         print()
-        for metric in ("trace", "min-eig"):
+        for metric in (kind.value for kind in ValueFunctionKind):
             print(f"=== scenario {sid}: {metric} attribution ===")
             code = main(["analyze", "--scenario", sid, "--metric", metric])
             if code != 0:

@@ -130,6 +130,14 @@ RAW_DOCUMENTS = {
         '{"state_matrix": [[1]], "sensors": [{"name": "a", "row": [-1e400]}], '
         '"horizon_samples": 1}'
     ),
+    "schema-duplicate-field": (
+        '{"state_matrix": [[1]], "sensors": [{"name": "a", "row": [1]}], '
+        '"horizon_samples": 1, "horizon_samples": 3}'
+    ),
+    "schema-sensor-duplicate-field": (
+        '{"state_matrix": [[1]], "sensors": [{"name": "a", "row": [1], "row": [2]}], '
+        '"horizon_samples": 1}'
+    ),
 }
 
 # Each rejected document's change to the valid two-sensor document.
@@ -160,6 +168,8 @@ REJECTED_DOCUMENTS = {
         sensor(d, "name", "s1"),
         sensor(d, "row", [1.0]),
     ),
+    "schema-name-control-character": lambda d: d.update(name="demo\x1b[2J"),
+    "validation-sensor-name-control-character": lambda d: sensor(d, "name", "s\n0"),
 }
 
 # Models whose dynamics or sizes sit at the edges of what is accepted.

@@ -15,6 +15,7 @@ threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -62,6 +63,11 @@ def _shown(value) -> str:
     return text[: _SHOWN_CHARS - 3] + "..."
 
 
+# The control characters, Unicode category Cc. In a name, a line break would
+# split a report's lines and an escape sequence would reach the terminal.
+_CONTROL_CHARACTER = re.compile("[\x00-\x1f\x7f-\x9f]")
+
+
 def _as_readonly_float_array(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
     arr.setflags(write=False)
@@ -104,6 +110,7 @@ class LtiModel:
         violations = validate_model(self).violations
         if violations:
             raise InvalidModel(violations)
+        object.__setattr__(self, "horizon_samples", int(self.horizon_samples))
 
     @property
     def state_dimension(self) -> int:
@@ -131,8 +138,8 @@ def validate_model(model: LtiModel) -> ValidationResult:
 
     Each violation message names the offending field. A model is valid iff
     the state matrix is square and finite, every sensor row is a finite
-    vector of matching length with a unique non-empty name, and the horizon
-    is a positive sample count.
+    vector of matching length with a unique non-empty name free of control
+    characters, and the horizon is a positive sample count.
     """
     violations: list[str] = []
 
@@ -153,6 +160,10 @@ def validate_model(model: LtiModel) -> ValidationResult:
         label = f"sensors[{i}]"
         if not isinstance(sensor.name, str) or not sensor.name:
             violations.append(f"{label}.name: must be a non-empty string")
+        elif _CONTROL_CHARACTER.search(sensor.name):
+            violations.append(
+                f"{label}.name: control character in {_shown(sensor.name)}"
+            )
         elif sensor.name in seen:
             violations.append(
                 f"{label}.name: duplicate sensor name {_shown(sensor.name)}"

@@ -9,19 +9,20 @@ Model files are strict JSON documents with exactly these fields:
       "horizon_samples": 10
     }
 
-Unknown fields are rejected everywhere so that fixture files stay
-unambiguous ground truth. Parse failures are reported in three distinct
-stages, each with a location: JSON syntax, document schema, and model
-validation.
+Unknown and repeated fields are rejected everywhere, and names may hold no
+control characters, so that fixture files stay unambiguous ground truth.
+Parse failures are reported in three distinct stages, each with a location:
+JSON syntax, document schema, and model validation.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any
 
-from .model import InvalidModel, LtiModel, Sensor, _shown
+from .model import _CONTROL_CHARACTER, InvalidModel, LtiModel, Sensor, _shown
 from .shapley import AttributionResult, AxiomReport
 
 __all__ = [
@@ -62,10 +63,21 @@ def _schema_error(message: str, location: str) -> ModelDocumentError:
     return ModelDocumentError("schema", message, location)
 
 
-def _check_fields(data: dict, allowed: set, required: set, location: str) -> None:
+class _Object(dict):
+    # A JSON object and the names it gives more than once, of which json.loads
+    # would keep only the last value.
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        counts = Counter(name for name, _ in pairs) if len(self) < len(pairs) else {}
+        self.repeated = sorted(name for name, count in counts.items() if count > 1)
+
+
+def _check_fields(data: _Object, allowed: set, required: set, location: str) -> None:
     unknown = set(data) - allowed
     if unknown:
         raise _schema_error(f"unknown field(s): {', '.join(sorted(unknown))}", location)
+    if data.repeated:
+        raise _schema_error(f"duplicate field(s): {', '.join(data.repeated)}", location)
     missing = required - set(data)
     if missing:
         raise _schema_error(
@@ -111,7 +123,10 @@ def parse_model_document(text: str) -> ModelDocument:
         )
 
     try:
-        data = json.loads(text, parse_constant=reject_constant, parse_int=_parse_int)
+        data = json.loads(
+            text, object_pairs_hook=_Object, parse_constant=reject_constant,
+            parse_int=_parse_int,
+        )
     except json.JSONDecodeError as err:
         raise ModelDocumentError(
             "syntax", err.msg, f"line {err.lineno} column {err.colno}"
@@ -126,6 +141,8 @@ def parse_model_document(text: str) -> ModelDocument:
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise _schema_error("expected a string", "name")
+    if name is not None and _CONTROL_CHARACTER.search(name):
+        raise _schema_error(f"control character in {_shown(name)}", "name")
 
     raw_matrix = data["state_matrix"]
     if not isinstance(raw_matrix, list) or not raw_matrix:
@@ -183,7 +200,7 @@ def render_model_document(doc: ModelDocument) -> str:
         {"name": s.name, "row": [float(x) for x in s.row]}
         for s in doc.model.sensors
     ]
-    payload["horizon_samples"] = int(doc.model.horizon_samples)
+    payload["horizon_samples"] = doc.model.horizon_samples
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 

@@ -21,33 +21,29 @@ from .report import ModelDocument, render_model_document
 
 __all__ = ["SCENARIO_IDS", "emit_scenarios", "scenario_document"]
 
-SCENARIO_IDS = (1, 2)
+# Each scenario's state matrix and its sensors' rows, by id.
+_SCENARIOS = {
+    1: ([[1.0, 0.0], [0.0, 1.0]], {"C1": [1.0, 1.0], "C2": [1.0, -1.0]}),
+    2: (
+        [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]],
+        {
+            "C1": [1.0, 0.0, 0.0],
+            "C2": [0.0, 1.0, 0.0],
+            "C3": [1.0, 1.0, 0.0],
+            "C4": [0.0, 0.0, 1.0],
+        },
+    ),
+}
+
+SCENARIO_IDS = tuple(_SCENARIOS)
 
 
 def scenario_document(scenario_id: int) -> ModelDocument:
     """One of the bundled example models, by id."""
-    if scenario_id == 1:
-        model = LtiModel(
-            state_matrix=[[1.0, 0.0], [0.0, 1.0]],
-            sensors=(
-                Sensor("C1", [1.0, 1.0]),
-                Sensor("C2", [1.0, -1.0]),
-            ),
-            horizon_samples=10,
-        )
-        return ModelDocument("scenario1", model)
-    if scenario_id == 2:
-        model = LtiModel(
-            state_matrix=[[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]],
-            sensors=(
-                Sensor("C1", [1.0, 0.0, 0.0]),
-                Sensor("C2", [0.0, 1.0, 0.0]),
-                Sensor("C3", [1.0, 1.0, 0.0]),
-                Sensor("C4", [0.0, 0.0, 1.0]),
-            ),
-            horizon_samples=10,
-        )
-        return ModelDocument("scenario2", model)
+    if scenario_id in _SCENARIOS:
+        state, rows = _SCENARIOS[scenario_id]
+        sensors = tuple(Sensor(name, row) for name, row in rows.items())
+        return ModelDocument(f"scenario{scenario_id}", LtiModel(state, sensors, 10))
     raise ValueError(f"unknown scenario id {scenario_id}; expected one of {SCENARIO_IDS}")
 
 

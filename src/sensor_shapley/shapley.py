@@ -292,7 +292,7 @@ def shapley_sampled(
             f"range"
         )
     phi /= num_permutations
-    method = AttributionMethod("permutation-sampling", num_permutations, seed)
+    method = AttributionMethod("permutation-sampling", int(num_permutations), int(seed))
     grand = prefix_values[0, -1]
     standalone = values[inverse[-p:]]
     return _attribution(model, kind, bank, method, phi, standalone, grand)

@@ -1,4 +1,5 @@
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,18 @@ def over_the_cap_model(horizon=2):
     return LtiModel(np.eye(1), sensors, horizon)
 
 
+def over_the_cap_payload():
+    """A model document with one sensor more than exact enumeration accepts."""
+    return {
+        "state_matrix": [[1.0, 0.0], [0.0, 1.0]],
+        "sensors": [
+            {"name": f"s{i}", "row": [1.0, float(i)]}
+            for i in range(ENUMERATION_CAP + 1)
+        ],
+        "horizon_samples": 2,
+    }
+
+
 def wide_bank_corpus(count, seed=60601):
     """Stable models with n up to 24, p up to 11 and h up to 299; rows spread
     over 1e-3..1e3 with exact zeros (so outer products meet -0.0); and last,
@@ -85,6 +98,34 @@ def coalition_gramians(bank, masks):
     entry-major coalition sums over whole bank entries, made coalition-major."""
     sums = metrics._coalition_sums(bank.reshape(len(bank), -1), masks)
     return np.ascontiguousarray(sums.T).reshape((-1,) + bank.shape[1:])
+
+
+def coalition_gramian(bank, mask):
+    """The Gramian of one coalition bitmask, as ``coalition_gramians``."""
+    return coalition_gramians(bank, np.array([mask]))[0]
+
+
+def eigen_solves(monkeypatch):
+    """The shape of each np.linalg.eigvalsh argument from here on, in order."""
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def traced_peak(call, *args):
+    """The tracemalloc peak of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"

@@ -28,6 +28,7 @@ from conftest import (
     coalition_gramians,
     gramian_corpus,
     load_script,
+    over_the_cap_payload,
 )
 from oracles import gramian_direct
 
@@ -324,18 +325,7 @@ def test_cli_contract(tmp_path):
     _check(failures, code == "2" and "schema" in err, f"schema violation exited {code}")
 
     wide = tmp_path / "wide.json"
-    wide.write_text(
-        json.dumps(
-            {
-                "state_matrix": [[1.0, 0.0], [0.0, 1.0]],
-                "sensors": [
-                    {"name": f"s{i}", "row": [1.0, float(i)]} for i in range(25)
-                ],
-                "horizon_samples": 2,
-            }
-        ),
-        encoding="utf-8",
-    )
+    wide.write_text(json.dumps(over_the_cap_payload()), encoding="utf-8")
     code, _, _ = run(["analyze", "--model", wide.as_posix(), "--metric", "trace"])
     _check(failures, code == "3", f"cap overflow exited {code}, expected 3")
 

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +20,11 @@ from sensor_shapley import (
 )
 from sensor_shapley.cli import main
 
-from conftest import load_script
+from conftest import eigen_solves, load_script, over_the_cap_payload
 
 # The command line of each golden is in the same-bits corpus.
 corpus = load_script("same_bits_corpus")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_model(tmp_path, payload, name="model.json"):
@@ -131,19 +136,6 @@ def counting(monkeypatch, module, name):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def eigen_solves(monkeypatch):
-    # The shape of every np.linalg.eigvalsh argument, in call order.
-    calls = []
-    original = np.linalg.eigvalsh
-
-    def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     return calls
 
 
@@ -448,27 +440,13 @@ class TestAnalyzeErrors:
         assert code == 0, err
 
     def test_cap_exceeded_without_sample(self, tmp_path, capsys):
-        payload = {
-            "state_matrix": [[1.0, 0.0], [0.0, 1.0]],
-            "sensors": [
-                {"name": f"s{i}", "row": [1.0, float(i)]} for i in range(25)
-            ],
-            "horizon_samples": 2,
-        }
-        path = write_model(tmp_path, payload)
+        path = write_model(tmp_path, over_the_cap_payload())
         code, _, err = run(capsys, "analyze", "--model", path, "--metric", "trace")
         assert code == 3
         assert "shapley_sampled" in err or "sample" in err
 
     def test_cap_exceeded_resolved_by_sampling(self, tmp_path, capsys):
-        payload = {
-            "state_matrix": [[1.0, 0.0], [0.0, 1.0]],
-            "sensors": [
-                {"name": f"s{i}", "row": [1.0, float(i)]} for i in range(25)
-            ],
-            "horizon_samples": 2,
-        }
-        path = write_model(tmp_path, payload)
+        path = write_model(tmp_path, over_the_cap_payload())
         code, out, _ = run(
             capsys, "analyze", "--model", path, "--metric", "trace",
             "--format", "json", "--sample", "50",
@@ -714,6 +692,13 @@ class TestLongSensorNames:
 
 
 class TestCheck:
+    # one sensor that sees only the first of two states
+    BLIND = {
+        "state_matrix": [[1.0, 0.0], [0.0, 1.0]],
+        "sensors": [{"name": "a", "row": [1.0, 0.0]}],
+        "horizon_samples": 5,
+    }
+
     def test_one_eigen_solve_for_verdicts_and_min_eigenvalues(
         self, capsys, monkeypatch
     ):
@@ -755,17 +740,22 @@ class TestCheck:
         assert "full coalition: observable=yes" in out
 
     def test_unobservable_model_exits_one(self, tmp_path, capsys):
-        path = write_model(
-            tmp_path,
-            {
-                "state_matrix": [[1.0, 0.0], [0.0, 1.0]],
-                "sensors": [{"name": "a", "row": [1.0, 0.0]}],
-                "horizon_samples": 5,
-            },
-        )
+        path = write_model(tmp_path, self.BLIND)
         code, out, _ = run(capsys, "check", "--model", path)
         assert code == 1
         assert "full coalition: observable=no" in out
+
+    def test_module_process_exits_with_the_check_status(self, tmp_path):
+        # python -m sensor_shapley.cli hands main's code to the process
+        blind = write_model(tmp_path, self.BLIND)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        for source, want in ((["--scenario", "1"], 0), (["--model", blind], 1)):
+            child = subprocess.run(
+                [sys.executable, "-m", "sensor_shapley.cli", "check", *source],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert child.returncode == want, child.stderr
+            assert child.stdout.startswith("full coalition: observable=")
 
 
 class TestEmitScenarios:

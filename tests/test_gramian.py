@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,11 +19,14 @@ from sensor_shapley.shapley import _observability_matrix as observability_matrix
 
 from conftest import (
     ascending_sums,
+    coalition_gramian,
     coalition_gramians,
     edge_models,
+    eigen_solves,
     gramian_corpus,
     lti_models,
     make_random_model,
+    traced_peak,
     wide_bank_corpus,
 )
 from oracles import gramian_direct, gramian_propagated
@@ -32,20 +34,6 @@ from oracles import gramian_direct, gramian_propagated
 
 def full_mask(model):
     return (1 << model.sensor_count) - 1
-
-
-def coalition_gramian(bank, mask):
-    return coalition_gramians(bank, np.array([mask]))[0]
-
-
-def traced_peak(call, *args):
-    # The tracemalloc peak of one call, in bytes.
-    tracemalloc.start()
-    try:
-        call(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def orthogonal_model(p, n, h, seed=60603):
@@ -178,14 +166,7 @@ class TestPerSensorGramians:
             assert np.array_equal(bank[i].view(np.uint64), direct.view(np.uint64)), i
 
     def test_members_checked_with_one_eigen_solve(self, scenario2_model, monkeypatch):
-        calls = []
-        original = np.linalg.eigvalsh
-
-        def counted(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        calls = eigen_solves(monkeypatch)
         per_sensor_gramians(scenario2_model)
         # none: the min-eig metric and the verdicts solve the members where
         # they read their eigenvalues, under the same PSD rule

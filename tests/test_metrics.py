@@ -19,6 +19,7 @@ from sensor_shapley import (
 
 from conftest import (
     ascending_sums,
+    coalition_gramian,
     coalition_gramians,
     gramian_corpus,
     lti_models,
@@ -38,38 +39,44 @@ class TestValueFunctionKind:
         assert MIN_EIG.value == "min-eig"
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown metric"):
+        message = "'log-det' is not a valid ValueFunctionKind"
+        with pytest.raises(ValueError, match=message):
             ValueFunctionKind.from_cli_name("log-det")
-
-
-def gramian_of(model, mask):
-    return coalition_gramians(per_sensor_gramians(model), np.array([mask]))[0]
 
 
 class TestEvaluate:
     def test_trace_of_combination_sensor(self, scenario2_model):
-        assert evaluate(TRACE, gramian_of(scenario2_model, 0b100)) == pytest.approx(
-            5312.0
-        )
+        g = coalition_gramian(per_sensor_gramians(scenario2_model), 0b100)
+        assert evaluate(TRACE, g) == pytest.approx(5312.0)
 
     def test_min_eigenvalue_of_rank_deficient_sensor(self, scenario1_model):
-        assert evaluate(MIN_EIG, gramian_of(scenario1_model, 0b01)) == 0.0
+        g = coalition_gramian(per_sensor_gramians(scenario1_model), 0b01)
+        assert evaluate(MIN_EIG, g) == 0.0
 
     def test_min_eigenvalue_of_self_sufficient_sensor(self, scenario2_model):
-        g = gramian_of(scenario2_model, 0b0001)
+        g = coalition_gramian(per_sensor_gramians(scenario2_model), 0b0001)
         assert evaluate(MIN_EIG, g) == pytest.approx(1.3920, abs=1e-3)
 
     def test_zero_gramian_evaluates_to_exactly_zero(self, scenario1_model):
-        empty = gramian_of(scenario1_model, 0)
+        empty = coalition_gramian(per_sensor_gramians(scenario1_model), 0)
         assert evaluate(TRACE, empty) == 0.0
         assert evaluate(MIN_EIG, empty) == 0.0
 
     def test_tiny_negative_eigenvalue_clamped_to_zero(self, scenario1_model):
         # any rank-deficient Gramian exercises the clamp: the zero eigenvalue
         # comes back from the solver as a tiny value of either sign
+        bank = per_sensor_gramians(scenario1_model)
         for mask in (0b01, 0b10):
-            value = evaluate(MIN_EIG, gramian_of(scenario1_model, mask))
+            value = evaluate(MIN_EIG, coalition_gramian(bank, mask))
             assert value == 0.0 or value > 0.0
+
+    def test_unknown_kind_is_named(self, scenario1_model):
+        # a metric's name is not a kind; both entry points refuse it by name
+        bank = per_sensor_gramians(scenario1_model)
+        with pytest.raises(ValueError, match="no evaluator registered for 'trace'"):
+            evaluate("trace", bank[0])
+        with pytest.raises(ValueError, match="no evaluator registered for 'min-eig'"):
+            coalition_values(bank, "min-eig")
 
     def test_stack_matches_one_at_a_time_bit_for_bit(self):
         for model in gramian_corpus(20, seed=515):

@@ -74,6 +74,16 @@ class TestValidateModel:
         violations = violations_of([[1.0]], (Sensor("", [1.0]),), 5)
         assert any("non-empty string" in v for v in violations)
 
+    @pytest.mark.parametrize(
+        "name",
+        ["a\nb", "\x1b[31ma", "a\tb", "a\x9b"],
+        ids=["line-feed", "escape", "tab", "c1-escape"],
+    )
+    def test_sensor_name_with_control_character(self, name):
+        # a line break would split the sensor's table row and check line
+        violations = violations_of([[1.0]], (Sensor(name, [1.0]),), 5)
+        assert violations == (f"sensors[0].name: control character in {name!r}",)
+
     def test_bad_horizon(self):
         violations = violations_of([[1.0]], (Sensor("a", [1.0]),), 0)
         assert any("horizon_samples" in v for v in violations)

@@ -126,6 +126,34 @@ class TestParseModelDocument:
             "model document schema error at document: expected a JSON object"
         )
 
+    @pytest.mark.parametrize(
+        "field, location", [("horizon_samples", "document"), ("row", "sensors[1]")]
+    )
+    def test_repeated_field_rejected_at_its_object(self, field, location):
+        # the field given twice in its last object; json.loads alone would
+        # keep the second value
+        text = json.dumps(valid_payload())
+        last = text.rindex(f'"{field}"')
+        with pytest.raises(ModelDocumentError) as exc:
+            parse_model_document(f'{text[:last]}"{field}": 3, {text[last:]}')
+        assert str(exc.value) == (
+            f"model document schema error at {location}: duplicate field(s): {field}"
+        )
+
+    @pytest.mark.parametrize(
+        "name",
+        ["de\nmo", "\x1b[2Jdemo", "de\x7fmo", "demo\x85"],
+        ids=["line-feed", "escape", "delete", "next-line"],
+    )
+    def test_document_name_with_control_character_rejected(self, name):
+        payload = valid_payload()
+        payload["name"] = name
+        with pytest.raises(ModelDocumentError) as exc:
+            parse_model_document(json.dumps(payload))
+        assert str(exc.value) == (
+            f"model document schema error at name: control character in {name!r}"
+        )
+
     def test_cross_field_mismatch_is_validation_error(self):
         payload = valid_payload()
         payload["sensors"][0]["row"] = [1.0, 0.0, 3.0]
@@ -212,6 +240,23 @@ class TestReportDocument:
         assert "C1" in text and "C2" in text
         assert "symmetric pairs: (C1, C2)" in text
 
+    def test_numpy_integers_render_as_python_integers(self, scenario2_model):
+        # validation accepts any Integral horizon; the model and the sampled
+        # method keep it as int, so the bytes equal those of a Python-int run
+        state, sensors = scenario2_model.state_matrix, scenario2_model.sensors
+        reports = []
+        for h, n, seed in ((5, 16, 3), (np.int64(5), np.int64(16), np.int64(3))):
+            model = LtiModel(state, sensors, h)
+            sampled = shapley_sampled(model, MIN_EIG, n, seed)
+            reports.append(
+                (
+                    render_json(*exact_report(model, "s2")),
+                    render_json("s2", sampled, True, None),
+                    render_model_document(ModelDocument("s2", model)),
+                )
+            )
+        assert reports[0] == reports[1]
+
     def test_sampled_report_has_no_axioms_and_records_method(self, scenario2_model):
         result = shapley_sampled(scenario2_model, MIN_EIG, 64, seed=5)
         payload = json.loads(render_json("s2", result, True, None))
@@ -226,6 +271,11 @@ class TestReportDocument:
 
 
 class TestEmitScenarios:
+    def test_unknown_scenario_id_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            scenario_document(3)
+        assert str(exc.value) == "unknown scenario id 3; expected one of (1, 2)"
+
     def test_written_files_parse_and_validate(self, tmp_path):
         paths = emit_scenarios(tmp_path)
         assert [p.name for p in paths] == ["scenario1.json", "scenario2.json"]

@@ -5,7 +5,6 @@ import operator
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,7 @@ from sensor_shapley import (
 from sensor_shapley import shapley
 from sensor_shapley.shapley import shapley_from_table
 
-from conftest import attribution_corpus, edge_models, over_the_cap_model
+from conftest import attribution_corpus, edge_models, over_the_cap_model, traced_peak
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TRACE = ValueFunctionKind.TRACE
@@ -282,13 +281,7 @@ class TestShapleyFromTable:
         # 1.5 times that on top of it
         p = 20
         values = np.random.default_rng(20).standard_normal(1 << p)
-        tracemalloc.start()
-        try:
-            shapley_from_table(values, p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * values.nbytes
+        assert traced_peak(shapley_from_table, values, p) <= 1.5 * values.nbytes
 
 
 # Prints the bytes of shapley_from_table on a seeded p = 16 table, in hex.
