@@ -16,8 +16,11 @@ each peak comes from a call of its own and every timed call runs untraced.
   orthogonal state matrix, at perfbench's (p, n, h) = (10, 6, 10), (40, 6, 10)
   and (8, 24, 1000), plus (40, 24, 1000), (600, 64, 2), whose sensors take
   many groups of the bank's byte budget, and (3, 6, 5000), whose window takes
-  many blocks of samples, the last one partial: the median time, the peak and
-  the sha256.
+  many blocks of samples, the last one partial; these are dense, so every
+  sensor reaches all n states. Then one block-structured model at (8, 24,
+  1000), 2x2 rotation blocks with each sensor on one or two of them, where
+  each sensor reaches at most 4 states: the median time, the peak and the
+  sha256.
 * The permutation sampler's prefix batches at p = 25, 40, 70 and 100 (n = 6,
   h = 10), the distinct prefixes of 100 seeded orderings as
   ``shapley_sampled`` values them: the median times of the sums alone
@@ -61,6 +64,7 @@ from sensor_shapley.shapley import _attribution, shapley_from_table
 
 BANK_SHAPES = ((10, 6, 10), (40, 6, 10), (8, 24, 1000), (40, 24, 1000), (600, 64, 2),
                (3, 6, 5000))
+BLOCK_BANK_SHAPES = ((8, 24, 1000),)
 SAMPLED_COUNTS = (25, 40, 70, 100)
 EXACT_SIZES = (("trace", 16), ("trace", 20), ("trace", 22), ("trace", 24),
                ("min-eig", 16), ("min-eig", 20), ("min-eig", 22))
@@ -93,6 +97,21 @@ def orthogonal_model(p: int, n: int, h: int) -> LtiModel:
     a = np.linalg.qr(rng.standard_normal((n, n)))[0]
     sensors = tuple(Sensor(f"s{i}", rng.standard_normal(n)) for i in range(p))
     return LtiModel(a, sensors, h)
+
+
+def block_model(p: int, n: int, h: int) -> LtiModel:
+    # A block-diagonal state matrix of n / 2 rotations and p sensor rows, each
+    # on one or two blocks, seeded by the shape.
+    rng = np.random.default_rng((p, n, h, 2))
+    a = np.zeros((n, n))
+    for b, angle in enumerate(rng.uniform(0.3, 2.8, n // 2)):
+        c, s = np.cos(angle), np.sin(angle)
+        a[2 * b : 2 * b + 2, 2 * b : 2 * b + 2] = [[c, -s], [s, c]]
+    rows = np.zeros((p, n))
+    for row in rows:
+        for b in rng.choice(n // 2, size=int(rng.integers(1, 3)), replace=False):
+            row[2 * b : 2 * b + 2] = rng.standard_normal(2)
+    return LtiModel(a, tuple(Sensor(f"s{i}", r) for i, r in enumerate(rows)), h)
 
 
 def stable_model(rng: np.random.Generator, p: int) -> LtiModel:
@@ -182,10 +201,12 @@ def main() -> None:
     # process that launched it, which the passes below would raise
     for metric, p in EXACT_SIZES:
         subprocess.run([sys.executable, __file__, "--size", metric, str(p)], check=True)
-    for p, n, h in BANK_SHAPES:
-        bank_ms, peak_mb, digest = timed_bank(orthogonal_model(p, n, h))
+    banks = [("", orthogonal_model, shape) for shape in BANK_SHAPES]
+    banks += [("block ", block_model, shape) for shape in BLOCK_BANK_SHAPES]
+    for label, model, (p, n, h) in banks:
+        bank_ms, peak_mb, digest = timed_bank(model(p, n, h))
         print(
-            f"p={p:<3d} n={n:<3d} h={h:<5d} bank {bank_ms:8.2f} ms  "
+            f"{label}p={p:<3d} n={n:<3d} h={h:<5d} bank {bank_ms:8.2f} ms  "
             f"peak {peak_mb:6.3f} MB  sha256 {digest}"
         )
     for p in SAMPLED_COUNTS:

@@ -73,9 +73,12 @@ class _Object(dict):
 
 
 def _check_fields(data: _Object, allowed: set, required: set, location: str) -> None:
-    unknown = set(data) - allowed
+    unknown = sorted(set(data) - allowed)
     if unknown:
-        raise _schema_error(f"unknown field(s): {', '.join(sorted(unknown))}", location)
+        # a name with a control character is quoted, so it cannot reach the
+        # terminal or split the message; the others are printed as given
+        shown = (_shown(f) if _CONTROL_CHARACTER.search(f) else f for f in unknown)
+        raise _schema_error(f"unknown field(s): {', '.join(shown)}", location)
     if data.repeated:
         raise _schema_error(f"duplicate field(s): {', '.join(data.repeated)}", location)
     missing = required - set(data)

@@ -81,6 +81,32 @@ def wide_bank_corpus(count, seed=60601):
     ]
 
 
+def block_models(count, seed=60604):
+    """Models whose state matrix is block-diagonal in 2x2 rotations, pure or
+    scaled by a radius in 0.8..1, with every sensor row on one or two blocks
+    (entries over 1e-3..1e3, some exactly zero) and the first row all zero;
+    n up to 24, p up to 10 and h up to 1000. Each sensor reaches only its
+    own blocks, at most 4 of the n states."""
+    rng = np.random.default_rng(seed)
+    models = []
+    for _ in range(count):
+        blocks, p = int(rng.integers(2, 13)), int(rng.integers(2, 11))
+        state = np.zeros((2 * blocks, 2 * blocks))
+        scaled = rng.random() < 0.5
+        for b, angle in enumerate(rng.uniform(0.0, 2 * np.pi, blocks)):
+            radius = rng.uniform(0.8, 1.0) if scaled else 1.0
+            cos, sin = radius * np.cos(angle), radius * np.sin(angle)
+            state[2 * b : 2 * b + 2, 2 * b : 2 * b + 2] = [[cos, -sin], [sin, cos]]
+        rows = np.zeros((p, 2 * blocks))
+        for row in rows[1:]:
+            for b in rng.choice(blocks, size=int(rng.integers(1, 3)), replace=False):
+                entries = rng.standard_normal(2) * 10.0 ** rng.uniform(-3, 3, 2)
+                row[2 * b : 2 * b + 2] = entries * (rng.random(2) >= 0.2)
+        sensors = tuple(Sensor(f"s{i}", r) for i, r in enumerate(rows))
+        models.append(LtiModel(state, sensors, int(rng.integers(1, 1001))))
+    return models
+
+
 def ascending_sums(bank, members):
     """Each row of a (k, p) membership matrix summed over the bank, members
     added one at a time in ascending index from +0.0: the definition of the

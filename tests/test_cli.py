@@ -259,6 +259,23 @@ class TestAnalyzeErrors:
             "sensors[1].row: non-finite entry at index 0\n"
         )
 
+    def test_unknown_field_with_control_character_on_one_line(
+        self, tmp_path, capsys
+    ):
+        payload = {
+            "state_matrix": [[1.0]],
+            "sensors": [{"name": "a", "row": [1.0], "g\u001b[31mx\ny": 1.0}],
+            "horizon_samples": 3,
+        }
+        path = write_model(tmp_path, payload)
+        code, out, err = run(capsys, "analyze", "--model", path)
+        assert code == 2 and out == ""
+        assert err == (
+            "sensor-shapley: error: model document schema error at sensors[0]: "
+            "unknown field(s): 'g\\x1b[31mx\\ny'\n"
+        )
+        assert "\x1b" not in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["analyze", "check"])
     @pytest.mark.parametrize("location", ["state_matrix[1][1]", "sensors[0].row[1]"])
     def test_oversized_integer_is_a_schema_error(

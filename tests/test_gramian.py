@@ -19,6 +19,7 @@ from sensor_shapley.shapley import _observability_matrix as observability_matrix
 
 from conftest import (
     ascending_sums,
+    block_models,
     coalition_gramian,
     coalition_gramians,
     edge_models,
@@ -147,7 +148,7 @@ class TestPerSensorGramians:
             np.testing.assert_array_equal(bank[i], direct)
 
     def test_members_equal_direct_gramians_bit_for_bit_on_wide_corpus(self):
-        for model in wide_bank_corpus(80) + long_window_models():
+        for model in wide_bank_corpus(80) + long_window_models() + block_models(20):
             bank = per_sensor_gramians(model)
             for i in range(model.sensor_count):
                 direct = gramian_direct(model, 1 << i)
@@ -196,6 +197,50 @@ class TestPerSensorGramians:
             assert not np.all(np.isfinite(gramian_direct(model, 1 << i)))
             rebuilt = gramian_propagated(model, i)
             assert np.array_equal(bank[i].view(np.uint64), rebuilt.view(np.uint64)), i
+
+    def test_blind_sensors_beside_a_block_overflowing_at_the_last_sample(self):
+        # 3^k first overflows the power chain at k = 647: at h = 648 only the
+        # last sample's outputs outside the sensors' reach are NaN (0 * inf),
+        # yet each slot is rebuilt from its row, as when the whole slot is
+        # non-finite; the reached products alone have other bits
+        turn = 0.9 * np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+        state = np.zeros((5, 5))
+        state[0, 0], state[1:3, 1:3], state[3:, 3:] = 3.0, turn, turn.T
+        rows = np.array([[0.0, 1.3, -0.7, 0.0, 0.0], [0.0, 0.0, 0.0, 0.4, 2.1]])
+        sensors = tuple(Sensor(f"s{i}", row) for i, row in enumerate(rows))
+        reached, sums, power = np.zeros((2, 5, 5)), {}, np.eye(5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for h in range(1, 649):
+                outputs = np.where(rows != 0, (rows[:, None] @ power)[:, 0], 0.0)
+                reached += outputs[:, :, None] * outputs[:, None, :]
+                if h >= 647:
+                    sums[h] = reached.copy()
+                power = power @ state
+        for h in (647, 648):
+            model = LtiModel(state, sensors, h)
+            bank = per_sensor_gramians(model)
+            for i in range(2):
+                if h == 647:
+                    want = gramian_direct(model, 1 << i)
+                    assert bank[i].tobytes() == sums[h][i].tobytes(), i
+                else:
+                    want = gramian_propagated(model, i)
+                    assert bank[i].tobytes() != sums[h][i].tobytes(), i
+                assert np.array_equal(bank[i].view(np.uint64), want.view(np.uint64))
+
+    def test_outer_products_cover_only_the_reached_coordinates(self, monkeypatch):
+        # every sensor of a block model reaches at most two 2x2 blocks, so
+        # its outer products are 4 x 4, not n x n
+        model = next(m for m in block_models(20) if m.state_dimension >= 12)
+        shapes, einsum = [], np.einsum
+
+        def recorded(*operands, out=None, **kwargs):
+            shapes.append(out.shape[-2:])
+            return einsum(*operands, out=out, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", recorded)
+        per_sensor_gramians(model)
+        assert shapes and set(shapes) == {(4, 4)}, model.state_dimension
 
     def test_working_memory_does_not_grow_with_the_horizon(self):
         # at p = 40, n = 24 one group holds every sensor, so a block is

@@ -154,6 +154,19 @@ class TestParseModelDocument:
             f"model document schema error at name: control character in {name!r}"
         )
 
+    def test_unknown_field_with_control_character_is_quoted(self):
+        # an escape sequence and a line break in a field name: quoted, so the
+        # message is one line with no escape; a plain unknown name stays bare
+        payload = valid_payload()
+        payload["sensors"][0]["g\u001b[31mx\ny"] = 1.0
+        payload["sensors"][0]["gain"] = 2.0
+        with pytest.raises(ModelDocumentError) as exc:
+            parse_model_document(json.dumps(payload))
+        assert str(exc.value) == (
+            "model document schema error at sensors[0]: "
+            "unknown field(s): 'g\\x1b[31mx\\ny', gain"
+        )
+
     def test_cross_field_mismatch_is_validation_error(self):
         payload = valid_payload()
         payload["sensors"][0]["row"] = [1.0, 0.0, 3.0]

@@ -68,6 +68,15 @@ def test_time_bank_hashes_the_bank_of_its_model():
     assert digest == hashlib.sha256(bank.tobytes()).hexdigest()
 
 
+def test_time_bank_block_model_has_sensors_on_one_or_two_blocks():
+    script = load_time_passes()
+    model = script.block_model(8, 24, 1000)
+    a, rows = model.state_matrix, np.array([s.row for s in model.sensors])
+    assert not np.any(a[~np.kron(np.eye(12, dtype=bool), np.ones((2, 2), bool))])
+    blocks = np.any(rows.reshape(8, 12, 2) != 0, axis=2).sum(axis=1)
+    assert set(blocks) == {1, 2}
+
+
 def test_time_passes_runs_one_exact_size_from_the_command_line():
     script = load_time_passes()
     env = dict(os.environ, PYTHONPATH=str(SCRIPTS.parent / "src"))
