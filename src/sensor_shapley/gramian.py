@@ -33,9 +33,8 @@ __all__ = ["is_observable", "per_sensor_gramians"]
 PSD_RTOL = 1e-9
 PSD_FLOOR = 1e-12
 
-# The byte budget of the bank's outer-product buffer, a group of sensors'
-# outer products over a block of samples: its memory grows with neither p
-# nor the window.
+# The byte budget of what the bank holds for a block of samples (see
+# per_sensor_gramians): its memory grows with neither p nor the window.
 _BANK_BYTES = 1 << 19
 
 
@@ -90,51 +89,66 @@ def per_sensor_gramians(model: LtiModel) -> np.ndarray:
     non-finite output or slot, as once the powers overflow, is rebuilt by
     propagating c_i alone; if that overflows too within the window, a
     ``ValueError`` names the sensor and the horizon. No slot is eigen-solved.
+
+    The window is worked a block of samples at a time, as many as fit
+    ``_BANK_BYTES`` holding, per sample, a power of A, the p outputs, their
+    reached part (where some are unreached) and one group of sensors' outer
+    products. Each power is written into the block by ``np.dot(previous, A,
+    out=...)``: the dgemm of ``previous @ A`` on the same operands, so the
+    same bits, without a fresh array per step; at n = 1 both are one
+    product of two scalars.
     """
     p, n, h = model.sensor_count, model.state_dimension, model.horizon_samples
     bank = np.zeros((p, n, n))
     rows = np.stack([sensor.row for sensor in model.sensors])[:, None, :]
     cols, index = _reach(rows[:, 0], model.state_matrix), np.arange(p)[:, None]
     size = cols.shape[1]
-    group = min(p, max(1, _BANK_BYTES // (8 * n * n)))
-    samples = min(h, max(1, _BANK_BYTES // (8 * group * n * n)))
+    group = min(p, max(1, _BANK_BYTES // (8 * max(1, size * size))))
+    held = n * n + p * n + (p * size if size < n else 0) + group * size * size
+    samples = min(h, max(1, _BANK_BYTES // (8 * held)))
     powers = np.empty((samples, 1, n, n))
     outputs = np.empty((samples, p, 1, n))
     outers = np.empty((samples, group, size, size))
     # where some sensor reaches all n coordinates, every sensor takes all n
-    slots = bank if size == n else np.zeros((p, size, size))
-    # A block of samples at a time: the chain power <- power @ A fills the
-    # block's powers of A, one matmul writes every sensor's c_i A^k for all
-    # of them (a gufunc over the same (1, n) @ (n, n) cores, so each has its
-    # own product's bits), each sensor's reached outputs are gathered, and
-    # per group of sensors one einsum writes their outer products, which are
-    # added onto the slots in ascending k. einsum writes each product as
-    # 0.0 + a * b, which differs from a * b only where that is -0.0; a slot
-    # starts at +0.0, and a sum from +0.0 never rounds to -0.0, so adding
-    # either zero leaves the same bits, as does skipping the +-0.0 products
-    # of unreached outputs. Those turn non-finite only with the chain, so the
-    # full outputs are checked, and a sensor with any non-finite output gets
-    # a NaN bank entry outside its reach. Fewer, longer calls are the gain,
-    # and a cache-sized budget keeps the buffer they write in L2; a larger
-    # one would also add its size to every bank's peak. Entries (i, j) and
-    # (j, i) are the same products added in the same order, so the bank is
-    # symmetric without a check.
-    power = np.eye(n)
+    if size == n:
+        slots, reached = bank, outputs[:, :, 0]
+    else:
+        slots, reached = np.zeros((p, size, size)), np.empty((samples, p, size))
+        flat = index * n + cols
+    # A block of samples at a time: np.dot fills the block's powers of A in
+    # place, the first from the previous block's last; one matmul writes
+    # every sensor's c_i A^k for all of them (a gufunc over the same
+    # (1, n) @ (n, n) cores, so each has its own product's bits); np.take
+    # gathers each sensor's reached outputs into their buffer (its default
+    # mode would copy through a fresh one); and per group of sensors one
+    # einsum writes their outer products, which are added onto the slots in
+    # ascending k. einsum writes each product as 0.0 + a * b, which
+    # differs from a * b only where that is -0.0; a slot starts at +0.0, and
+    # a sum from +0.0 never rounds to -0.0, so adding either zero leaves the
+    # same bits, as does skipping the +-0.0 products of unreached outputs.
+    # Those turn non-finite only with the chain, so the full outputs are
+    # checked (by their min and max, without a mask's memory), and a sensor
+    # with any non-finite output gets a NaN bank entry outside its reach.
+    # Fewer, longer calls are the gain, and a cache-sized budget keeps the
+    # buffers they write in L2; a larger one would also add its size to
+    # every bank's peak. Entries (i, j) and (j, i) are the same products
+    # added in the same order, so the bank is symmetric without a check.
+    powers[0, 0] = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, h, samples):
             k = min(samples, h - start)
-            for t in range(k):
-                powers[t, 0] = power
-                power = power @ model.state_matrix
+            if start:
+                np.dot(powers[-1, 0], model.state_matrix, out=powers[0, 0])
+            for t in range(1, k):
+                np.dot(powers[t - 1, 0], model.state_matrix, out=powers[t, 0])
             np.matmul(rows, powers[:k], out=outputs[:k])
-            if slots is bank:
-                reached = outputs[:k, :, 0]
-            else:
-                if not np.isfinite(outputs[:k]).all():
+            if slots is not bank:
+                block = outputs[:k].reshape(k, p * n)
+                if not (np.isfinite(block.min()) and np.isfinite(block.max())):
                     bank[~np.isfinite(outputs[:k]).all(axis=(0, 2, 3))] = np.nan
-                reached = outputs[:k, index, 0, cols]
+                np.take(block, flat, axis=1, out=reached[:k], mode="clip")
             for i in range(0, p, group):
-                seen = reached[:, i : i + group]
+                seen = reached[:k, i : i + group]
                 products = outers[:k, : seen.shape[1]]
                 np.einsum("tpi,tpj->tpij", seen, seen, out=products)
                 part = slots[i : i + group]

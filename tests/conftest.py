@@ -144,6 +144,20 @@ def eigen_solves(monkeypatch):
     return calls
 
 
+def einsum_shapes(monkeypatch):
+    """The shape of each np.einsum ``out`` from here on, in order; the bank
+    writes one (samples, sensors, s, s) block of outer products per call."""
+    shapes = []
+    original = np.einsum
+
+    def recorded(*operands, out=None, **kwargs):
+        shapes.append(out.shape)
+        return original(*operands, out=out, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", recorded)
+    return shapes
+
+
 def traced_peak(call, *args):
     """The tracemalloc peak of one call, in bytes."""
     tracemalloc.start()

@@ -1,6 +1,9 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -8,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sensor_shapley import (
     LtiModel,
@@ -762,6 +767,41 @@ class TestCheck:
         assert code == 1
         assert "full coalition: observable=no" in out
 
+    def test_sensors_reaching_no_state(self, tmp_path, capsys):
+        # all rows +-0.0: the bank forms no outer product, and every value,
+        # verdict and axiom reads as two dummy sensors of a zero Gramian
+        path = write_model(
+            tmp_path,
+            {
+                "state_matrix": [[0.5, 1.0, 0.0], [0.0, 0.9, 0.2], [0.1, 0.0, 0.7]],
+                "sensors": [
+                    {"name": "a", "row": [0.0, 0.0, 0.0]},
+                    {"name": "b", "row": [0.0, -0.0, 0.0]},
+                ],
+                "horizon_samples": 50,
+            },
+        )
+        code, out, err = run(capsys, "check", "--model", path)
+        assert (code, err) == (1, "")
+        assert out == (
+            "full coalition: observable=no  min_eigenvalue=0  trace=0\n"
+            "sensor a: observable=no  min_eigenvalue=0  trace=0\n"
+            "sensor b: observable=no  min_eigenvalue=0  trace=0\n"
+        )
+        for metric in ("trace", "min-eig"):
+            code, out, err = run(capsys, "analyze", "--model", path, "--metric", metric)
+            assert (code, err) == (0, "")
+            assert out.splitlines()[4:] == [
+                f"a       {metric:<14s}  0                 0",
+                f"b       {metric:<14s}  0                 0",
+                "",
+                "grand value:         0",
+                "efficiency residual: 0",
+                "fully observable:    no",
+                "axioms:              pass "
+                "(symmetric pairs: (a, b); dummy sensors: a, b)",
+            ]
+
     def test_module_process_exits_with_the_check_status(self, tmp_path):
         # python -m sensor_shapley.cli hands main's code to the process
         blind = write_model(tmp_path, self.BLIND)
@@ -792,3 +832,82 @@ class TestEmitScenarios:
         )
         assert code == 2
         assert "error" in err
+
+
+# JSON values for a mutated field: small integers (a horizon of 2^40 would
+# run for hours), one beyond the float range, floats with their non-finite
+# tokens, text with control characters, and shallow arrays and objects.
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 40)
+    | st.just(10**400)
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+field_names = st.sampled_from(["name", "row", "state_matrix", "sensors"]) | st.text(
+    max_size=4
+)
+
+
+@st.composite
+def near_valid_documents(draw):
+    """A valid two-sensor document with one change, as JSON text: a field
+    set to a JSON value or removed, a matrix or row entry set to a float or
+    a JSON value, a name set to any text, or another horizon."""
+    doc = {
+        "name": "plant",
+        "state_matrix": [[0.9, 0.2], [0.0, 0.5]],
+        "sensors": [{"name": "a", "row": [1.0, 0.0]}, {"name": "b", "row": [0.0, 1.0]}],
+        "horizon_samples": 4,
+    }
+    target = draw(st.sampled_from([doc, *doc["sensors"]]))
+    change = draw(st.sampled_from(["set", "remove", "entry", "name", "horizon"]))
+    if change == "set":
+        target[draw(field_names | st.sampled_from(list(target)))] = draw(json_values)
+    elif change == "remove":
+        del target[draw(st.sampled_from(list(target)))]
+    elif change == "entry":
+        row = target.get("row") or doc["state_matrix"][draw(st.integers(0, 1))]
+        row[draw(st.integers(0, 1))] = draw(st.floats() | json_values)
+    elif change == "name":
+        target["name"] = draw(st.text(max_size=6))
+    else:
+        doc["horizon_samples"] = draw(st.integers(-1, 40))
+    return json.dumps(doc)
+
+
+# any control character but the line break that ends each line
+STRAY_CONTROL = re.compile("[\x00-\x09\x0b-\x1f\x7f-\x9f]")
+
+
+class TestCommandLineContract:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(text=near_valid_documents())
+    def test_every_command_exits_with_a_code_and_clean_streams(
+        self, tmp_path_factory, text
+    ):
+        # analyze with either metric or sampled, and check: the exit code is
+        # one of 0-4, an error (2-4) is one stderr line and no stdout, and no
+        # stream carries a control character beyond its line breaks
+        path = tmp_path_factory.getbasetemp() / "contract.json"
+        path.write_text(text, encoding="utf-8")
+        for command in (
+            ["analyze", "--metric", "trace"],
+            ["analyze", "--metric", "min-eig"],
+            ["analyze", "--sample", "3"],
+            ["check"],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*command, "--model", str(path)])
+            out, err = out.getvalue(), err.getvalue()
+            assert code in (0, 1, 2, 3, 4), (command, code)
+            if code >= 2:
+                assert out == "" and err.endswith("\n") and err.count("\n") == 1, (
+                    command, err
+                )
+            assert not STRAY_CONTROL.search(out + err), (command, out, err)

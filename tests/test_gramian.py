@@ -24,7 +24,9 @@ from conftest import (
     coalition_gramians,
     edge_models,
     eigen_solves,
+    einsum_shapes,
     gramian_corpus,
+    load_script,
     lti_models,
     make_random_model,
     traced_peak,
@@ -232,27 +234,53 @@ class TestPerSensorGramians:
         # every sensor of a block model reaches at most two 2x2 blocks, so
         # its outer products are 4 x 4, not n x n
         model = next(m for m in block_models(20) if m.state_dimension >= 12)
-        shapes, einsum = [], np.einsum
-
-        def recorded(*operands, out=None, **kwargs):
-            shapes.append(out.shape[-2:])
-            return einsum(*operands, out=out, **kwargs)
-
-        monkeypatch.setattr(np, "einsum", recorded)
+        shapes = einsum_shapes(monkeypatch)
         per_sensor_gramians(model)
-        assert shapes and set(shapes) == {(4, 4)}, model.state_dimension
+        assert shapes and {s[2:] for s in shapes} == {(4, 4)}, model.state_dimension
+
+    def test_block_model_bank_makes_one_einsum_per_block_of_70_samples(
+        self, monkeypatch
+    ):
+        # a sample of the (8, 24, 1000) block model holds 928 numbers (see
+        # bank_budgets), so 70 samples fill a block and all 8 sensors one
+        # group: 15 einsum calls, where n x n sizing made 72 of 14 samples
+        model = load_script("time_passes").block_model(8, 24, 1000)
+        shapes = einsum_shapes(monkeypatch)
+        per_sensor_gramians(model)
+        assert shapes == [(70, 8, 4, 4)] * 14 + [(20, 8, 4, 4)]
+
+    def test_sensors_reaching_no_state_have_an_all_positive_zero_bank(self):
+        # rows of +-0.0 reach no state (s = 0): no outer product is formed
+        rows = ([0.0, 0.0, 0.0], [0.0, -0.0, 0.0])
+        sensors = tuple(Sensor(f"s{i}", row) for i, row in enumerate(rows))
+        state = [[0.5, 1.0, 0.0], [0.0, 0.9, 0.2], [0.1, 0.0, 0.7]]
+        for h in (1, 50, 5000):
+            bank = per_sensor_gramians(LtiModel(state, sensors, h))
+            assert bank.tobytes() == bytes(bank.nbytes), h
 
     def test_working_memory_does_not_grow_with_the_horizon(self):
-        # at p = 40, n = 24 one group holds every sensor, so a block is
-        # budget // bank bytes samples; ten, a thousand or ten thousand
-        # samples peak within the bank, the budget and a block of powers
+        # at p = 40, n = 24 one group holds every sensor, and the block's
+        # powers, outputs and outer products share the budget: ten, a
+        # thousand or ten thousand samples peak within the bank and the budget
         p, n = 40, 24
-        bank_bytes = 8 * p * n * n
-        powers_bytes = gramian._BANK_BYTES // bank_bytes * 8 * n * n
         per_sensor_gramians(orthogonal_model(p, n, 10))
         for h in (10, 1000, 10_000):
             peak = traced_peak(per_sensor_gramians, orthogonal_model(p, n, h))
-            assert peak <= bank_bytes + gramian._BANK_BYTES + powers_bytes, h
+            assert peak <= 8 * p * n * n + gramian._BANK_BYTES, h
+
+    @pytest.mark.parametrize("n", [1, 24])
+    def test_working_memory_of_small_samples_stays_within_the_budget(self, n):
+        # a sample of n = 1 holds 17 numbers and one of the 24-state block
+        # model 928, so a block is 3855 or 70 samples. Beyond the bank and
+        # the budget, which those blocks fill to 8 and 4608 bytes, the peak
+        # holds numpy's per-call objects and the bank's small arrays (rows,
+        # reach, the identity): about 8 and 13 KiB. A list of 3855 power
+        # views would add some 400 KiB at n = 1.
+        model = orthogonal_model if n == 1 else load_script("time_passes").block_model
+        per_sensor_gramians(model(8, n, 10))
+        for h in (10, 1000, 10_000):
+            peak = traced_peak(per_sensor_gramians, model(8, n, h))
+            assert peak <= 8 * 8 * n * n + gramian._BANK_BYTES + (16 << 10), h
 
     def test_working_memory_above_the_byte_budget(self):
         # an 18.75 MiB bank, over gramian._BANK_BYTES: the outer products
@@ -265,15 +293,19 @@ class TestPerSensorGramians:
 
 def bank_budgets(model):
     """Bank byte budgets that make one call cover one sensor and one sample;
-    blocks of samples the last of which is shorter; several sensor groups;
-    and the default."""
+    blocks of all p sensors, of samples the last of which is shorter; groups
+    of two sensors; and the default. A block holds, per sample, a power of A
+    (n^2 numbers), the p outputs (p n), their reached part (p s, where the
+    largest reach s is below n) and one group's outer products (g s^2)."""
     p, n, h = model.sensor_count, model.state_dimension, model.horizon_samples
-    gramian_bytes = 8 * n * n
+    rows = np.array([sensor.row for sensor in model.sensors])
+    s = gramian._reach(rows, model.state_matrix).shape[1]
+    held = n * n + p * n + (p * s if s < n else 0) + p * s * s
     short_last = next(k for k in range(2, h + 2) if h % k)
     return {
         "one-by-one": 1,
-        "short-last-block": short_last * p * gramian_bytes,
-        "sensor-groups": 2 * gramian_bytes,
+        "short-last-block": short_last * 8 * held,
+        "sensor-groups": 2 * 8 * max(1, s * s),
         "default": gramian._BANK_BYTES,
     }
 
@@ -292,6 +324,38 @@ def assert_blocks_keep_the_bits(model):
         assert np.array_equal(bank.view(np.uint64), default.view(np.uint64)), name
 
 
+class TestPowerChain:
+    # The bank writes each power of A into its block as np.dot(previous, A,
+    # out=...); the bits are those of the chain power <- power @ A.
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 24, 64])
+    @pytest.mark.parametrize("kind", ["random", "orthogonal"])
+    def test_dot_into_the_block_equals_the_matmul_chain_bit_for_bit(self, n, kind):
+        # n = 1 takes np.dot's product of two scalars, not BLAS; blocks of 7
+        # samples, each first power from the previous block's last, and a
+        # one-sample block, whose out is its own input
+        rng = np.random.default_rng(n)
+        square = rng.standard_normal((n, n))
+        if kind == "orthogonal":
+            state = np.linalg.qr(square)[0]
+        else:
+            state = square / max(abs(np.linalg.eigvals(square)))
+        chain, power = [], np.eye(n)
+        for _ in range(300):
+            chain.append(power)
+            power = power @ state
+        for samples in (7, 1):
+            powers, got = np.empty((samples, n, n)), []
+            powers[0] = np.eye(n)
+            for start in range(0, 300, samples):
+                if start:
+                    np.dot(powers[-1], state, out=powers[0])
+                for t in range(1, min(samples, 300 - start)):
+                    np.dot(powers[t - 1], state, out=powers[t])
+                got.extend(powers[: min(samples, 300 - start)].copy())
+            assert np.array(got).tobytes() == np.array(chain).tobytes(), samples
+
+
 class TestBankBlocks:
     # The bank's byte budget sets how many sensors and samples one call
     # covers; no budget may change a bit.
@@ -300,6 +364,34 @@ class TestBankBlocks:
     @given(edge_models())
     def test_block_size_cannot_change_the_bits_on_edge_models(self, model):
         assert_blocks_keep_the_bits(model)
+
+    # (samples, sensors) of each einsum call, for 11 samples of 5 sensors
+    LAYOUTS = {
+        "one-by-one": [(1, 1)] * 55,
+        "short-last-block": [(2, 5)] * 5 + [(1, 5)],
+        "sensor-groups": [(1, 2), (1, 2), (1, 1)] * 11,
+    }
+
+    @pytest.mark.parametrize("block_model", [False, True])
+    def test_budgets_make_the_layouts_they_are_named_for(self, block_model):
+        # on a dense A (s = n = 4) and on a block model (s = 2 of n = 6)
+        rng = np.random.default_rng(60605)
+        if block_model:
+            state = np.kron(np.eye(3), [[0.6, -0.8], [0.8, 0.6]])
+            blocks = np.repeat(np.eye(3)[[0, 1, 2, 0, 1]], 2, axis=1)
+            rows = rng.standard_normal((5, 6)) * blocks
+        else:
+            state = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+            rows = rng.standard_normal((5, 4))
+        sensors = tuple(Sensor(f"s{i}", row) for i, row in enumerate(rows))
+        model = LtiModel(state, sensors, 11)
+        budgets = bank_budgets(model)
+        for name, layout in self.LAYOUTS.items():
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(gramian, "_BANK_BYTES", budgets[name])
+                shapes = einsum_shapes(patch)
+                per_sensor_gramians(model)
+            assert [shape[:2] for shape in shapes] == layout, name
 
     def test_block_size_cannot_change_the_bits_where_products_are_negative_zero(
         self,

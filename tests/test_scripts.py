@@ -1,5 +1,6 @@
 """The timing scripts run at small sizes and time what the package computes;
-the same-bits corpus reads and writes the manifest of the running BLAS core."""
+the same-bits corpus reads and writes the manifest of the running BLAS core;
+the repository's pytest settings report every test after a failing one."""
 
 import hashlib
 import os
@@ -160,3 +161,27 @@ def test_same_bits_corpus_writes_the_goldens_with_the_default_manifest_only(
         assert golden.read_text(encoding="utf-8") == "report\n"
     else:
         assert not golden.exists()
+
+
+def test_a_failing_property_test_leaves_the_session_running(tmp_path):
+    # hypothesis's failure report must not end the run under the repository's
+    # warnings-as-errors settings: the test after it still runs
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(derandomize=True, max_examples=5)\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert False\n\n\n"
+        "def test_passes():\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(SCRIPTS.parent / "pyproject.toml"), "--rootdir", str(tmp_path),
+         str(tmp_path / "test_two.py")],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "INTERNALERROR" not in run.stdout
+    assert run.stdout.splitlines()[-1].startswith("1 failed, 1 passed"), run.stdout
