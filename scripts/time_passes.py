@@ -19,8 +19,9 @@ each peak comes from a call of its own and every timed call runs untraced.
   many blocks of samples, the last one partial; these are dense, so every
   sensor reaches all n states. Then one block-structured model at (8, 24,
   1000), 2x2 rotation blocks with each sensor on one or two of them, where
-  each sensor reaches at most 4 states: the median time, the peak and the
-  sha256.
+  each sensor reaches at most 4 states: the median time, the peak, the
+  peak's excess over the bank and its byte budget (``gramian._BANK_BYTES``,
+  the bound the memory tests hold it to) and the sha256.
 * The permutation sampler's prefix batches at p = 25, 40, 70 and 100 (n = 6,
   h = 10), the distinct prefixes of 100 seeded orderings as
   ``shapley_sampled`` values them: the median times of the sums alone
@@ -55,6 +56,7 @@ from sensor_shapley import (
     Sensor,
     ValueFunctionKind,
     coalition_values,
+    gramian,
     metrics,
     pack_masks,
     per_sensor_gramians,
@@ -123,10 +125,12 @@ def stable_model(rng: np.random.Generator, p: int) -> LtiModel:
 
 
 def timed_bank(model: LtiModel):
-    # The median bank time in ms, the peak in MB and the sha256 of the bank.
+    # The median bank time in ms, the peak in MB, the peak's excess over the
+    # bank and gramian._BANK_BYTES in KiB, and the sha256 of the bank.
     bank_ms = median_ms(lambda: per_sensor_gramians(model))
     bank, peak_mb = traced_peak(lambda: per_sensor_gramians(model))
-    return bank_ms, peak_mb, hashlib.sha256(bank.tobytes()).hexdigest()
+    excess_kib = (peak_mb * 2**20 - bank.nbytes - gramian._BANK_BYTES) / 2**10
+    return bank_ms, peak_mb, excess_kib, hashlib.sha256(bank.tobytes()).hexdigest()
 
 
 def prefix_batch(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -204,10 +208,11 @@ def main() -> None:
     banks = [("", orthogonal_model, shape) for shape in BANK_SHAPES]
     banks += [("block ", block_model, shape) for shape in BLOCK_BANK_SHAPES]
     for label, model, (p, n, h) in banks:
-        bank_ms, peak_mb, digest = timed_bank(model(p, n, h))
+        bank_ms, peak_mb, excess_kib, digest = timed_bank(model(p, n, h))
         print(
             f"{label}p={p:<3d} n={n:<3d} h={h:<5d} bank {bank_ms:8.2f} ms  "
-            f"peak {peak_mb:6.3f} MB  sha256 {digest}"
+            f"peak {peak_mb:6.3f} MB  over budget {excess_kib:+7.1f} KiB  "
+            f"sha256 {digest}"
         )
     for p in SAMPLED_COUNTS:
         count, sums_ms, values_ms, peak_mb, digest = timed_batch(p)

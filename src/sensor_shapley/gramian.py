@@ -9,15 +9,20 @@ and the sum of its members' single-sensor Gramians, so the package builds only
 those (the bank) and ``metrics`` sums them. The system is observable over the
 window iff the full-coalition Gramian is positive definite.
 
-Sensor i's outputs c_i A^k are exactly zero outside the state coordinates its
-row reaches through A's nonzero pattern (the support of c_i, closed under
-l -> j for A[l, j] != 0: the reachability of structural observability), so its
-Gramian is zero outside those coordinates' rows and columns. The bank forms
-each sensor's outer products over s coordinates, its reach padded to the
-largest reach s, instead of all n, with the same bits: while the power chain
-is finite, each skipped product is +-0.0 and would have left its +0.0 slot
-unchanged. A sensor with any non-finite output, reached or not, is rebuilt
-from its own row, as when its slot is non-finite.
+The bank adds each sensor's products c_j * c_k in ascending k onto slots that
+start at +0.0. A sum from +0.0 never rounds to -0.0, so these keep its bits:
+
+* skipping the products of outputs c_i A^k outside the coordinates the row
+  reaches (see _reach), which are +-0.0 while the powers of A are finite;
+* einsum's 0.0 + a * b, which differs from a * b only where that is -0.0;
+* np.dot(previous, A, out=...), the dgemm of previous @ A on the same
+  operands without a fresh array (at n = 1 both multiply two scalars).
+
+Once a power of A overflows, inf * 0 spreads NaN into outputs that should be
+zero, so a sensor is rebuilt from its own row iff its slots end the window
+non-finite. A non-finite output in some product makes its diagonal product,
+and so that slot for good, non-finite: slots over all n states need no output
+screen. An unreached one is in no product, so it sets the sensor's slots to NaN.
 """
 
 from __future__ import annotations
@@ -33,16 +38,16 @@ __all__ = ["is_observable", "per_sensor_gramians"]
 PSD_RTOL = 1e-9
 PSD_FLOOR = 1e-12
 
-# The byte budget of what the bank holds for a block of samples (see
-# per_sensor_gramians): its memory grows with neither p nor the window.
+# The byte budget of a block of samples (see per_sensor_gramians): the bank's
+# memory grows with neither p nor the window. It is cache-sized, to keep the
+# buffers its fewer, longer calls write in L2, and adds its size to every peak.
 _BANK_BYTES = 1 << 19
 
 
 def _eigenvalues(gramians: np.ndarray) -> np.ndarray:
-    # The ascending eigenvalues of each Gramian of an (n, n) matrix or
-    # (k, n, n) stack, after the one check on Gramians: finite entries and
-    # the PSD tolerance. The min-eig metric, is_observable and check read
-    # eigenvalues only through here.
+    # The ascending eigenvalues of an (n, n) Gramian or each of a (k, n, n)
+    # stack, after the one check on Gramians (finite entries, the PSD
+    # tolerance). The min-eig metric, is_observable and check read them here.
     if not np.all(np.isfinite(gramians)):
         raise ValueError("Gramian contains non-finite entries")
     eigs = np.linalg.eigvalsh(gramians)
@@ -62,10 +67,9 @@ def _eigenvalues(gramians: np.ndarray) -> np.ndarray:
 def _reach(rows: np.ndarray, state_matrix: np.ndarray) -> np.ndarray:
     # A (p, s) array of state coordinates per sensor: first those its row
     # reaches through A's nonzero pattern (the support of c_i, closed under
-    # l -> j for A[l, j] != 0), then coordinates it cannot reach, up to the
-    # largest reach s. The closure squares A's pattern plus the identity,
-    # clipped to 1, until it stops growing: about log2(n) matmuls of exact
-    # small integers.
+    # l -> j for A[l, j] != 0), then unreached ones, up to the largest reach
+    # s. The closure squares A's pattern plus the identity, clipped to 1,
+    # until it stops growing: about log2(n) matmuls of small exact integers.
     closure = np.eye(len(state_matrix)) + (state_matrix != 0)
     while ((grown := np.minimum(closure @ closure, 1.0)) > closure).any():
         closure = grown
@@ -80,23 +84,16 @@ def per_sensor_gramians(model: LtiModel) -> np.ndarray:
     """The bank: all p single-sensor Gramians, as a read-only ``(p, n, n)``
     array index-aligned with the model's sensors.
 
-    Every entry is one product ``c_j * c_k`` added in ascending k from +0.0,
-    the bits of ``slot += block.T * block``; the last bits of the products
-    depend on the BLAS kernel. Entries outside the coordinates the sensor's
-    row reaches through A's nonzero pattern are +0.0, as adding their +-0.0
-    products would leave them while the powers of A are finite, so they are
-    formed only where some sensor reaches all n. A sensor with any
-    non-finite output or slot, as once the powers overflow, is rebuilt by
-    propagating c_i alone; if that overflows too within the window, a
+    Entry (j, k) adds the window's products ``c_j * c_k`` in ascending k from
+    +0.0, the bits of ``slot += block.T * block`` whose last bits depend on
+    the BLAS kernel, so it equals entry (k, j); it is +0.0 outside the
+    coordinates the row reaches. A sensor whose slots end the window
+    non-finite is rebuilt by propagating c_i alone; if that overflows too, a
     ``ValueError`` names the sensor and the horizon. No slot is eigen-solved.
 
-    The window is worked a block of samples at a time, as many as fit
-    ``_BANK_BYTES`` holding, per sample, a power of A, the p outputs, their
-    reached part (where some are unreached) and one group of sensors' outer
-    products. Each power is written into the block by ``np.dot(previous, A,
-    out=...)``: the dgemm of ``previous @ A`` on the same operands, so the
-    same bits, without a fresh array per step; at n = 1 both are one
-    product of two scalars.
+    A block of samples is worked at a time, as many as fit ``_BANK_BYTES``
+    with a power of A, the p outputs, their reached part (where some are
+    unreached) and one group of sensors' outer products per sample.
     """
     p, n, h = model.sensor_count, model.state_dimension, model.horizon_samples
     bank = np.zeros((p, n, n))
@@ -109,30 +106,11 @@ def per_sensor_gramians(model: LtiModel) -> np.ndarray:
     powers = np.empty((samples, 1, n, n))
     outputs = np.empty((samples, p, 1, n))
     outers = np.empty((samples, group, size, size))
-    # where some sensor reaches all n coordinates, every sensor takes all n
-    if size == n:
+    if size == n:  # some sensor reaches all n states, so every sensor takes all n
         slots, reached = bank, outputs[:, :, 0]
     else:
         slots, reached = np.zeros((p, size, size)), np.empty((samples, p, size))
         flat = index * n + cols
-    # A block of samples at a time: np.dot fills the block's powers of A in
-    # place, the first from the previous block's last; one matmul writes
-    # every sensor's c_i A^k for all of them (a gufunc over the same
-    # (1, n) @ (n, n) cores, so each has its own product's bits); np.take
-    # gathers each sensor's reached outputs into their buffer (its default
-    # mode would copy through a fresh one); and per group of sensors one
-    # einsum writes their outer products, which are added onto the slots in
-    # ascending k. einsum writes each product as 0.0 + a * b, which
-    # differs from a * b only where that is -0.0; a slot starts at +0.0, and
-    # a sum from +0.0 never rounds to -0.0, so adding either zero leaves the
-    # same bits, as does skipping the +-0.0 products of unreached outputs.
-    # Those turn non-finite only with the chain, so the full outputs are
-    # checked (by their min and max, without a mask's memory), and a sensor
-    # with any non-finite output gets a NaN bank entry outside its reach.
-    # Fewer, longer calls are the gain, and a cache-sized budget keeps the
-    # buffers they write in L2; a larger one would also add its size to
-    # every bank's peak. Entries (i, j) and (j, i) are the same products
-    # added in the same order, so the bank is symmetric without a check.
     powers[0, 0] = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, h, samples):
@@ -141,11 +119,14 @@ def per_sensor_gramians(model: LtiModel) -> np.ndarray:
                 np.dot(powers[-1, 0], model.state_matrix, out=powers[0, 0])
             for t in range(1, k):
                 np.dot(powers[t - 1, 0], model.state_matrix, out=powers[t, 0])
+            # a gufunc over (1, n) @ (n, n) cores: each sensor's own bits
             np.matmul(rows, powers[:k], out=outputs[:k])
             if slots is not bank:
+                # screened by min and max, without a mask's memory
                 block = outputs[:k].reshape(k, p * n)
                 if not (np.isfinite(block.min()) and np.isfinite(block.max())):
-                    bank[~np.isfinite(outputs[:k]).all(axis=(0, 2, 3))] = np.nan
+                    slots[~np.isfinite(outputs[:k]).all(axis=(0, 2, 3))] = np.nan
+                # np.take's default mode would copy through a fresh buffer
                 np.take(block, flat, axis=1, out=reached[:k], mode="clip")
             for i in range(0, p, group):
                 seen = reached[:k, i : i + group]
@@ -154,11 +135,12 @@ def per_sensor_gramians(model: LtiModel) -> np.ndarray:
                 part = slots[i : i + group]
                 for outer in products:
                     np.add(part, outer, out=part)
+        # the sum screens the slots, so a mask is built only if one is not finite
+        finite = np.isfinite(slots.sum())
+        stale = [] if finite else np.flatnonzero(~np.isfinite(slots).all(axis=(1, 2)))
         if slots is not bank:
             bank[index[:, :, None], cols[:, :, None], cols[:, None, :]] = slots
-        # Once a power of A overflows, inf * 0 spreads NaN into every
-        # sensor's outputs, also those of sensors blind to the growing mode.
-        for i in np.flatnonzero(~np.isfinite(bank).all(axis=(1, 2))):
+        for i in stale:
             slot, block = np.zeros((n, n)), model.sensors[i].row[None, :]
             for _ in range(h):
                 slot += block.T * block

@@ -63,9 +63,10 @@ def _shown(value) -> str:
     return text[: _SHOWN_CHARS - 3] + "..."
 
 
-# The control characters, Unicode category Cc. In a name, a line break would
-# split a report's lines and an escape sequence would reach the terminal.
-_CONTROL_CHARACTER = re.compile("[\x00-\x1f\x7f-\x9f]")
+# The control characters, Unicode category Cc, and the line and paragraph
+# separators, the only others str.splitlines() breaks on. In a name, a line
+# break would split a report's lines and an escape would reach the terminal.
+_CONTROL_CHARACTER = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 
 
 def _as_readonly_float_array(values) -> np.ndarray:

@@ -282,6 +282,35 @@ class TestAnalyzeErrors:
         assert "\x1b" not in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["analyze", "check"])
+    @pytest.mark.parametrize(
+        "sensor, extra, message",
+        [
+            (
+                {"name": "a\u2028b", "row": [1.0]},
+                {},
+                "validation error: sensors[0].name: control character in "
+                "'a\\u2028b'",
+            ),
+            (
+                {"name": "a", "row": [1.0]},
+                {"\u2029x": 1.0},
+                "schema error at document: unknown field(s): '\\u2029x'",
+            ),
+        ],
+        ids=["line-separator-name", "paragraph-separator-field"],
+    )
+    def test_line_and_paragraph_separators_are_quoted_on_one_line(
+        self, tmp_path, capsys, command, sensor, extra, message
+    ):
+        # str.splitlines() breaks on U+2028 and U+2029 as on a line feed
+        payload = {"state_matrix": [[1.0]], "sensors": [sensor], "horizon_samples": 3}
+        path = write_model(tmp_path, {**payload, **extra})
+        code, out, err = run(capsys, command, "--model", path)
+        assert code == 2 and out == ""
+        assert err == f"sensor-shapley: error: model document {message}\n"
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["analyze", "check"])
     @pytest.mark.parametrize("location", ["state_matrix[1][1]", "sensors[0].row[1]"])
     def test_oversized_integer_is_a_schema_error(
         self, tmp_path, capsys, command, location
@@ -880,8 +909,9 @@ def near_valid_documents(draw):
     return json.dumps(doc)
 
 
-# any control character but the line break that ends each line
-STRAY_CONTROL = re.compile("[\x00-\x09\x0b-\x1f\x7f-\x9f]")
+# any control character, line or paragraph separator but the line break that
+# ends each line
+STRAY_CONTROL = re.compile("[\x00-\x09\x0b-\x1f\x7f-\x9f\u2028\u2029]")
 
 
 class TestCommandLineContract:

@@ -76,8 +76,8 @@ class TestValidateModel:
 
     @pytest.mark.parametrize(
         "name",
-        ["a\nb", "\x1b[31ma", "a\tb", "a\x9b"],
-        ids=["line-feed", "escape", "tab", "c1-escape"],
+        ["a\nb", "\x1b[31ma", "a\tb", "a\x9b", "a\u2028b", "a\u2029b"],
+        ids=["line-feed", "escape", "tab", "c1-escape", "line-sep", "paragraph-sep"],
     )
     def test_sensor_name_with_control_character(self, name):
         # a line break would split the sensor's table row and check line

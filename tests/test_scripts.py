@@ -14,6 +14,7 @@ import pytest
 from sensor_shapley import (
     ValueFunctionKind,
     coalition_values,
+    gramian,
     pack_masks,
     per_sensor_gramians,
     shapley_exact,
@@ -63,10 +64,14 @@ def test_time_coalition_sums_values_the_samplers_prefixes():
 def test_time_bank_hashes_the_bank_of_its_model():
     script = load_time_passes()
     model = script.orthogonal_model(3, 4, 20)
-    bank_ms, peak_mb, digest = script.timed_bank(model)
+    bank_ms, peak_mb, excess_kib, digest = script.timed_bank(model)
     assert min(bank_ms, peak_mb) >= 0.0
     bank = per_sensor_gramians(model)
     assert digest == hashlib.sha256(bank.tobytes()).hexdigest()
+    # the excess the memory tests bound: the peak less the bank and the budget
+    budget = gramian._BANK_BYTES
+    assert excess_kib == pytest.approx((peak_mb * 2**20 - bank.nbytes - budget) / 1024)
+    assert excess_kib <= 16
 
 
 def test_time_bank_block_model_has_sensors_on_one_or_two_blocks():
