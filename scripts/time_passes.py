@@ -15,13 +15,15 @@ each peak comes from a call of its own and every timed call runs untraced.
 * The per-sensor Gramian bank (``per_sensor_gramians``) of a model with an
   orthogonal state matrix, at perfbench's (p, n, h) = (10, 6, 10), (40, 6, 10)
   and (8, 24, 1000), plus (40, 24, 1000), (600, 64, 2), whose sensors take
-  many groups of the bank's byte budget, and (3, 6, 5000), whose window takes
-  many blocks of samples, the last one partial; these are dense, so every
-  sensor reaches all n states. Then one block-structured model at (8, 24,
-  1000), 2x2 rotation blocks with each sensor on one or two of them, where
-  each sensor reaches at most 4 states: the median time, the peak, the
-  peak's excess over the bank and its byte budget (``gramian._BANK_BYTES``,
-  the bound the memory tests hold it to) and the sha256.
+  many groups of the bank's byte budget, (3, 6, 5000), whose window takes
+  many blocks of samples, the last one partial, and (12, 24, 1000), whose
+  blocks hold 8 samples, the fewest the bank sums by one reduction; these are
+  dense, so every sensor reaches all n states. Then one block-structured
+  model at (8, 24, 1000), 2x2 rotation blocks with each sensor on one or two
+  of them, where each sensor reaches at most 4 states: the median time and
+  its quartiles, the peak, the peak's excess over the bank and its byte
+  budget (``gramian._BANK_BYTES``, the bound the memory tests hold it to) and
+  the sha256.
 * The permutation sampler's prefix batches at p = 25, 40, 70 and 100 (n = 6,
   h = 10), the distinct prefixes of 100 seeded orderings as
   ``shapley_sampled`` values them: the median times of the sums alone
@@ -65,7 +67,7 @@ from sensor_shapley import (
 from sensor_shapley.shapley import _attribution, shapley_from_table
 
 BANK_SHAPES = ((10, 6, 10), (40, 6, 10), (8, 24, 1000), (40, 24, 1000), (600, 64, 2),
-               (3, 6, 5000))
+               (3, 6, 5000), (12, 24, 1000))
 BLOCK_BANK_SHAPES = ((8, 24, 1000),)
 SAMPLED_COUNTS = (25, 40, 70, 100)
 EXACT_SIZES = (("trace", 16), ("trace", 20), ("trace", 22), ("trace", 24),
@@ -80,8 +82,15 @@ def timed(call):
     return result, time.perf_counter() - start
 
 
+def quartiles_ms(call) -> list[float]:
+    # The first quartile, the median and the third quartile of the call's
+    # wall times, in ms.
+    times = [timed(call)[1] for _ in range(REPEATS)]
+    return [1e3 * q for q in statistics.quantiles(times, n=4)]
+
+
 def median_ms(call) -> float:
-    return 1e3 * statistics.median(timed(call)[1] for _ in range(REPEATS))
+    return quartiles_ms(call)[1]
 
 
 def traced_peak(call):
@@ -125,9 +134,9 @@ def stable_model(rng: np.random.Generator, p: int) -> LtiModel:
 
 
 def timed_bank(model: LtiModel):
-    # The median bank time in ms, the peak in MB, the peak's excess over the
-    # bank and gramian._BANK_BYTES in KiB, and the sha256 of the bank.
-    bank_ms = median_ms(lambda: per_sensor_gramians(model))
+    # The quartiles of the bank time in ms, the peak in MB, the peak's excess
+    # over the bank and gramian._BANK_BYTES in KiB, and the sha256 of the bank.
+    bank_ms = quartiles_ms(lambda: per_sensor_gramians(model))
     bank, peak_mb = traced_peak(lambda: per_sensor_gramians(model))
     excess_kib = (peak_mb * 2**20 - bank.nbytes - gramian._BANK_BYTES) / 2**10
     return bank_ms, peak_mb, excess_kib, hashlib.sha256(bank.tobytes()).hexdigest()
@@ -209,8 +218,10 @@ def main() -> None:
     banks += [("block ", block_model, shape) for shape in BLOCK_BANK_SHAPES]
     for label, model, (p, n, h) in banks:
         bank_ms, peak_mb, excess_kib, digest = timed_bank(model(p, n, h))
+        q1, median, q3 = bank_ms
         print(
-            f"{label}p={p:<3d} n={n:<3d} h={h:<5d} bank {bank_ms:8.2f} ms  "
+            f"{label}p={p:<3d} n={n:<3d} h={h:<5d} bank {median:8.2f} ms  "
+            f"quartiles {q1:8.2f} {q3:8.2f} ms  "
             f"peak {peak_mb:6.3f} MB  over budget {excess_kib:+7.1f} KiB  "
             f"sha256 {digest}"
         )

@@ -16,7 +16,14 @@ start at +0.0. A sum from +0.0 never rounds to -0.0, so these keep its bits:
   reaches (see _reach), which are +-0.0 while the powers of A are finite;
 * einsum's 0.0 + a * b, which differs from a * b only where that is -0.0;
 * np.dot(previous, A, out=...), the dgemm of previous @ A on the same
-  operands without a fresh array (at n = 1 both multiply two scalars).
+  operands without a fresh array (at n = 1 both multiply two scalars);
+* one np.add.reduce over a block's k samples, once the first holds the slots
+  plus its own products: the same additions in ascending k, one call for k.
+  It runs only where k >= 8, as the budget then caps a sample's products at
+  8192 numbers, so its one extra pass costs no more than the 7 or more calls
+  it saves; and only over more than one number per sample, as numpy sums a
+  reduction over contiguous numbers pairwise (Higham 2002, chapter 4),
+  which rounds otherwise.
 
 Once a power of A overflows, inf * 0 spreads NaN into outputs that should be
 zero, so a sensor is rebuilt from its own row iff its slots end the window
@@ -42,6 +49,8 @@ PSD_FLOOR = 1e-12
 # memory grows with neither p nor the window. It is cache-sized, to keep the
 # buffers its fewer, longer calls write in L2, and adds its size to every peak.
 _BANK_BYTES = 1 << 19
+# The fewest samples a block sums by one reduction (see the module docstring).
+_REDUCED_SAMPLES = 8
 
 
 def _eigenvalues(gramians: np.ndarray) -> np.ndarray:
@@ -111,14 +120,15 @@ def per_sensor_gramians(model: LtiModel) -> np.ndarray:
     else:
         slots, reached = np.zeros((p, size, size)), np.empty((samples, p, size))
         flat = index * n + cols
-    powers[0, 0] = np.eye(n)
+    chain, state = powers[:, 0], model.state_matrix
+    chain[0] = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, h, samples):
             k = min(samples, h - start)
             if start:
-                np.dot(powers[-1, 0], model.state_matrix, out=powers[0, 0])
-            for t in range(1, k):
-                np.dot(powers[t - 1, 0], model.state_matrix, out=powers[t, 0])
+                np.dot(chain[-1], state, out=chain[0])
+            for before, after in zip(chain[: k - 1], chain[1:k]):
+                np.dot(before, state, out=after)
             # a gufunc over (1, n) @ (n, n) cores: each sensor's own bits
             np.matmul(rows, powers[:k], out=outputs[:k])
             if slots is not bank:
@@ -133,8 +143,12 @@ def per_sensor_gramians(model: LtiModel) -> np.ndarray:
                 products = outers[:k, : seen.shape[1]]
                 np.einsum("tpi,tpj->tpij", seen, seen, out=products)
                 part = slots[i : i + group]
-                for outer in products:
-                    np.add(part, outer, out=part)
+                if k >= _REDUCED_SAMPLES and part.size > 1:
+                    np.add(part, products[0], out=products[0])
+                    np.add.reduce(products, axis=0, out=part)
+                else:
+                    for outer in products:
+                        np.add(part, outer, out=part)
         # the sum screens the slots, so a mask is built only if one is not finite
         finite = np.isfinite(slots.sum())
         stale = [] if finite else np.flatnonzero(~np.isfinite(slots).all(axis=(1, 2)))

@@ -55,10 +55,6 @@ class ModelDocument:
     model: LtiModel
 
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _schema_error(message: str, location: str) -> ModelDocumentError:
     return ModelDocumentError("schema", message, location)
 
@@ -102,19 +98,19 @@ def _parse_int(token: str):
     return value
 
 
-def _number_row(value: Any, location: str) -> list[float]:
+def _number_row(value: Any, location: str) -> list:
+    # The array as given: json.loads yields only int and float numbers (bool
+    # is a type of its own), and LtiModel converts each to float64 once.
     if not isinstance(value, list) or not value:
         raise _schema_error("expected a non-empty array of numbers", location)
-    row = []
     for j, entry in enumerate(value):
         if entry is _TOO_LARGE:
             raise _schema_error("number is too large for a float", f"{location}[{j}]")
-        if not _is_number(entry):
+        if type(entry) not in (int, float):
             raise _schema_error(
                 f"expected a number, got {_shown(entry)}", f"{location}[{j}]"
             )
-        row.append(float(entry))
-    return row
+    return value
 
 
 def parse_model_document(text: str) -> ModelDocument:
@@ -196,12 +192,9 @@ def render_model_document(doc: ModelDocument) -> str:
     payload: dict[str, Any] = {}
     if doc.name is not None:
         payload["name"] = doc.name
-    payload["state_matrix"] = [
-        [float(x) for x in row] for row in doc.model.state_matrix
-    ]
+    payload["state_matrix"] = doc.model.state_matrix.tolist()
     payload["sensors"] = [
-        {"name": s.name, "row": [float(x) for x in s.row]}
-        for s in doc.model.sensors
+        {"name": s.name, "row": s.row.tolist()} for s in doc.model.sensors
     ]
     payload["horizon_samples"] = doc.model.horizon_samples
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"

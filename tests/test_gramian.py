@@ -250,6 +250,18 @@ class TestPerSensorGramians:
                     want = gramian_propagated(model, i)
                 assert np.array_equal(bank[i].view(np.uint64), want.view(np.uint64))
 
+    def test_samples_of_one_number_keep_the_ascending_sum_bit_for_bit(self):
+        # one sensor on one state: a block's products are one number per
+        # sample, which numpy would reduce pairwise, with other bits at both
+        # windows, so such blocks add their samples one by one
+        for h in (17, 300):
+            model = LtiModel([[0.97]], (Sensor("a", [1.3]),), h)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                bank = per_sensor_gramians(model)
+            direct = gramian_direct(model, 1)
+            assert np.array_equal(bank[0].view(np.uint64), direct.view(np.uint64)), h
+
     def test_outer_products_cover_only_the_reached_coordinates(self, monkeypatch):
         # every sensor of a block model reaches at most two 2x2 blocks, so
         # its outer products are 4 x 4, not n x n
@@ -317,7 +329,8 @@ class TestPerSensorGramians:
 
 def bank_budgets(model):
     """Bank byte budgets that make one call cover one sensor and one sample;
-    blocks of all p sensors, of samples the last of which is shorter; groups
+    blocks of all p sensors, of samples the last of which is shorter; blocks
+    of all p sensors and the fewest samples summed by one reduction; groups
     of two sensors; and the default. A block holds, per sample, a power of A
     (n^2 numbers), the p outputs (p n), their reached part (p s, where the
     largest reach s is below n) and one group's outer products (g s^2)."""
@@ -329,6 +342,7 @@ def bank_budgets(model):
     return {
         "one-by-one": 1,
         "short-last-block": short_last * 8 * held,
+        "eight-then-three": gramian._REDUCED_SAMPLES * 8 * held,
         "sensor-groups": 2 * 8 * max(1, s * s),
         "default": gramian._BANK_BYTES,
     }
@@ -372,11 +386,12 @@ class TestPowerChain:
             powers, got = np.empty((samples, n, n)), []
             powers[0] = np.eye(n)
             for start in range(0, 300, samples):
+                k = min(samples, 300 - start)
                 if start:
                     np.dot(powers[-1], state, out=powers[0])
-                for t in range(1, min(samples, 300 - start)):
-                    np.dot(powers[t - 1], state, out=powers[t])
-                got.extend(powers[: min(samples, 300 - start)].copy())
+                for before, after in zip(powers[: k - 1], powers[1:k]):
+                    np.dot(before, state, out=after)
+                got.extend(powers[:k].copy())
             assert np.array(got).tobytes() == np.array(chain).tobytes(), samples
 
 
@@ -393,6 +408,8 @@ class TestBankBlocks:
     LAYOUTS = {
         "one-by-one": [(1, 1)] * 55,
         "short-last-block": [(2, 5)] * 5 + [(1, 5)],
+        # the first block is summed by one reduction, the last sample by sample
+        "eight-then-three": [(8, 5), (3, 5)],
         "sensor-groups": [(1, 2), (1, 2), (1, 1)] * 11,
     }
 

@@ -59,6 +59,22 @@ class TestParseModelDocument:
             for got, want in zip(reparsed.model.sensors, model.sensors):
                 np.testing.assert_array_equal(got.row, want.row)
 
+    def test_integer_and_float_literals_parse_to_their_float64_bits(self):
+        # each number is converted once, by LtiModel; an integer literal reads
+        # as float(int(token)), so "-0" is +0.0, as the JSON integer 0
+        integers = ["0", "-0", str(2**53 + 1), str(10**308)]
+        floats = ["-0.0", "5e-324", "1.7976931348623157e308"]
+        want = [float(int(t)) for t in integers] + [float(t) for t in floats]
+        row = f"[{', '.join(integers + floats)}]"
+        doc = parse_model_document(
+            f'{{"state_matrix": [{", ".join([row] * len(want))}], '
+            f'"sensors": [{{"name": "a", "row": {row}}}], "horizon_samples": 1}}'
+        )
+        reparsed = parse_model_document(render_model_document(doc))
+        for model in (doc.model, reparsed.model):
+            assert model.state_matrix.tobytes() == np.array([want] * 7).tobytes()
+            assert model.sensors[0].row.tobytes() == np.array(want).tobytes()
+
     def test_name_is_optional(self):
         payload = valid_payload()
         del payload["name"]

@@ -61,11 +61,16 @@ def test_time_coalition_sums_values_the_samplers_prefixes():
     assert digest == hashlib.sha256(values.tobytes()).hexdigest()
 
 
-def test_time_bank_hashes_the_bank_of_its_model():
+def test_time_bank_hashes_the_bank_of_its_model(monkeypatch):
     script = load_time_passes()
     model = script.orthogonal_model(3, 4, 20)
+    # 15 timed calls of 15, 14, ..., 1 ms: quartiles 4 and 12, median 8
+    assert script.REPEATS == 15
+    seconds = iter(range(15, 0, -1))
+    monkeypatch.setattr(script, "timed", lambda call: (call(), next(seconds) / 1e3))
     bank_ms, peak_mb, excess_kib, digest = script.timed_bank(model)
-    assert min(bank_ms, peak_mb) >= 0.0
+    assert bank_ms == pytest.approx([4.0, 8.0, 12.0])
+    assert peak_mb >= 0.0
     bank = per_sensor_gramians(model)
     assert digest == hashlib.sha256(bank.tobytes()).hexdigest()
     # the excess the memory tests bound: the peak less the bank and the budget
