@@ -15,8 +15,8 @@ start at +0.0. A sum from +0.0 never rounds to -0.0, so these keep its bits:
 * skipping the products of outputs c_i A^k outside the coordinates the row
   reaches (see _reach), which are +-0.0 while the powers of A are finite;
 * einsum's 0.0 + a * b, which differs from a * b only where that is -0.0;
-* np.dot(previous, A, out=...), the dgemm of previous @ A on the same
-  operands without a fresh array (at n = 1 both multiply two scalars);
+* previous.dot(A, out=...), the dgemm of previous @ A on the same operands
+  without a fresh array or np.dot's dispatch (at n = 1, a scalar product);
 * one np.add.reduce over a block's k samples, once the first holds the slots
   plus its own products: the same additions in ascending k, one call for k.
   It runs only where k >= 8, as the budget then caps a sample's products at
@@ -33,6 +33,8 @@ screen. An unreached one is in no product, so it sets the sensor's slots to NaN.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -126,15 +128,16 @@ def per_sensor_gramians(model: LtiModel) -> np.ndarray:
         for start in range(0, h, samples):
             k = min(samples, h - start)
             if start:
-                np.dot(chain[-1], state, out=chain[0])
-            for before, after in zip(chain[: k - 1], chain[1:k]):
-                np.dot(before, state, out=after)
+                chain[-1].dot(state, out=chain[0])
+            for before, after in itertools.pairwise(chain[:k]):
+                before.dot(state, out=after)
             # a gufunc over (1, n) @ (n, n) cores: each sensor's own bits
             np.matmul(rows, powers[:k], out=outputs[:k])
             if slots is not bank:
-                # screened by min and max, without a mask's memory
+                # screened by their sum, without a mask's memory; where finite
+                # outputs overflow it, the mask marks no sensor
                 block = outputs[:k].reshape(k, p * n)
-                if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+                if not np.isfinite(block.sum()):
                     slots[~np.isfinite(outputs[:k]).all(axis=(0, 2, 3))] = np.nan
                 # np.take's default mode would copy through a fresh buffer
                 np.take(block, flat, axis=1, out=reached[:k], mode="clip")

@@ -33,7 +33,9 @@ __all__ = [
 ]
 
 # Coalitions are valued in chunks of about this many bytes of full n x n
-# Gramians, so a table's memory does not grow with 2^p.
+# Gramians, so a table's memory does not grow with 2^p. A min-eig table's
+# chunk holds its low table and one solve buffer, each a chunk of whole
+# matrices.
 _CHUNK_BYTES = 1 << 23
 
 
@@ -90,28 +92,24 @@ def _traces(diagonals: np.ndarray) -> np.ndarray:
     return traces
 
 
-def _buffer(kind: ValueFunctionKind, e: int, k: int) -> np.ndarray:
-    # The zeroed array the metric reads k coalitions of e entries from.
-    if kind is ValueFunctionKind.TRACE:
-        return np.zeros((k, e))
-    n = math.isqrt(2 * e)  # e = n (n + 1) / 2
-    return np.zeros((k, n, n))
-
-
 def _finish(
     kind: ValueFunctionKind, sums: np.ndarray, read: np.ndarray | None = None
 ) -> np.ndarray:
-    # The metric of each column of (e, k) sums of the entries _read names,
-    # copied into read (a fresh _buffer by default): row-major (k, n)
-    # diagonals for _traces, or triangles in zeroed (k, n, n) matrices.
-    e, k = sums.shape
-    if read is None:
-        read = _buffer(kind, e, k)
+    # The metric of each of k coalitions from its sums: (k, n, n) whole
+    # Gramians, solved as they are, or (k, e) sums of the entries _read names,
+    # in any layout: row-major (k, n) diagonals for _traces (copied into read
+    # where given), or triangles in zeroed (k, n, n) matrices.
+    if sums.ndim == 3:
+        return _eigenvalues(sums)[:, 0].copy()
     if kind is ValueFunctionKind.TRACE:
-        np.copyto(read, sums.T)
+        if read is None:
+            return _traces(np.ascontiguousarray(sums))
+        np.copyto(read, sums)
         return _traces(read)
-    n = read.shape[-1]
-    read.reshape(k, n * n)[:, _read(kind, n)] = sums.T
+    k, e = sums.shape
+    n = math.isqrt(2 * e)  # e = n (n + 1) / 2
+    read = np.zeros((k, n, n))
+    read.reshape(k, n * n)[:, _read(kind, n)] = sums
     del sums  # a caller's temporary sums need not live through the solve
     return _eigenvalues(read)[:, 0].copy()
 
@@ -145,24 +143,28 @@ def _mask_words(masks, sensor_count: int) -> np.ndarray:
     return words
 
 
-def _low_table(entries: np.ndarray, c: int) -> np.ndarray:
-    # The (e, 2^c) sums of (p, e) per-sensor entries over sensors 0..c-1,
-    # column m the coalition of bitmask m, by the highest-set-bit recursion
-    # W[:, 2^i : 2^(i+1)] = W[:, :2^i] + G[i].
-    low = np.zeros((entries.shape[1], 1 << c))
+def _low_table(members: np.ndarray, c: int) -> np.ndarray:
+    # The (2^c, ...) sums of (p, ...) members over sensors 0..c-1, row m the
+    # coalition of bitmask m, by the highest-set-bit recursion
+    # W[2^i : 2^(i+1)] = W[:2^i] + G[i] from +0.0. (p, e) entries are laid
+    # out entry-major, so .T is the contiguous (e, 2^c) table.
+    order = "F" if members.ndim == 2 else "C"
+    low = np.empty((1 << c, *members.shape[1:]), order=order)
+    low[0] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(c):
-            np.add(low[:, : 1 << i], entries[i, :, None], out=low[:, 1 << i : 2 << i])
+            np.add(low[: 1 << i], members[i], out=low[1 << i : 2 << i])
     return low
 
 
 def _coalition_sums(entries: np.ndarray, masks) -> np.ndarray:
-    # The entry-major (e, k) sums of (p, e) per-sensor entries over bitmasks,
-    # row r holding entry r of all k sums. The batch takes its low members'
-    # sums from the partial table over the lowest c sensors,
-    # 2^(c-1) <= k < 2^c; each higher sensor is then one contiguous pass that
-    # adds its entries, or +0.0 for coalitions without it, chosen by a
-    # bitwise AND of their int64 view with an all-ones or all-zeros word.
+    # The (k, e) sums of (p, e) per-sensor entries over bitmasks, a view of
+    # entry-major memory: row r of its .T holds entry r of all k sums. The
+    # batch takes its low members' sums from the partial table over the
+    # lowest c sensors, 2^(c-1) <= k < 2^c; each higher sensor is then one
+    # contiguous pass that adds its entries, or +0.0 for coalitions without
+    # it, chosen by a bitwise AND of their int64 view with an all-ones or
+    # all-zeros word.
     # Every sum starts from +0.0, and x + 0.0 keeps every other x, inf and
     # NaN too: the bits of adding members one at a time in ascending index
     # (a 0/1 multiply would not be: inf * 0 is NaN).
@@ -171,7 +173,7 @@ def _coalition_sums(entries: np.ndarray, masks) -> np.ndarray:
     words = _mask_words(masks, p)
     k = words.shape[1]
     c = min(p, k.bit_length())
-    sums = np.take(_low_table(entries, c), words[0] & ((1 << c) - 1), axis=1)
+    sums = np.take(_low_table(entries, c).T, words[0] & ((1 << c) - 1), axis=1)
     bits = entries.view(np.int64)
     select = np.empty(k, dtype=np.uint64)
     addend = np.empty_like(sums)
@@ -184,7 +186,7 @@ def _coalition_sums(entries: np.ndarray, masks) -> np.ndarray:
                 bits[i, :, None], select.view(np.int64), out=addend.view(np.int64)
             )
             np.add(sums, addend, out=sums)
-    return sums
+    return sums.T
 
 
 def full_gramian(bank: np.ndarray) -> np.ndarray:
@@ -206,14 +208,16 @@ def coalition_values(
     ``masks`` is a ``(k,)`` integer array (under 64 sensors) or ``(k, w)``
     ``pack_masks`` words (any sensor count). Without ``masks``, every one of
     the 2^p coalitions is valued and the result is the read-only table
-    indexed by bitmask, with the empty coalition at exactly 0. Only the bank
-    entries the metric reads are summed, in chunks of bounded memory; the
-    values have the bits of ``evaluate`` on the coalitions' full Gramians.
+    indexed by bitmask, with the empty coalition at exactly 0. A min-eig
+    table sums whole bank members; trace tables and batches sum only the
+    bank entries the metric reads. Coalitions are summed in chunks of
+    bounded memory, and the values have the bits of ``evaluate`` on the
+    coalitions' full Gramians.
     """
-    # A min-eig chunk also keeps its partial table and sums, about half the
-    # chunk's _CHUNK_BYTES each.
     p, n = len(bank), bank.shape[-1]
     chunk = max(1, _CHUNK_BYTES // (8 * n * n))
+    if masks is None and kind is ValueFunctionKind.MIN_EIGENVALUE:
+        return _table(bank, kind, chunk)
     entries = bank.reshape(p, n * n)[:, _read(kind, n)]
     if masks is None:
         return _table(entries, kind, chunk)
@@ -224,26 +228,30 @@ def coalition_values(
     return values
 
 
-def _table(entries: np.ndarray, kind: ValueFunctionKind, chunk: int) -> np.ndarray:
-    # One chunk is the partial table over all p sensors, passed as a
-    # temporary. Otherwise each chunk of 2^c masks adds its high members to
-    # the partial table over the low c sensors, in buffers every chunk
-    # reuses, in ascending index as _coalition_sums does.
-    p, e = entries.shape
+def _table(members: np.ndarray, kind: ValueFunctionKind, chunk: int) -> np.ndarray:
+    # Min-eig tables sum whole (n, n) members coalition-major, straight into
+    # the stack _eigenvalues solves (members are symmetric bit for bit, so
+    # both triangles hold the bits of the entries _read names); trace tables
+    # sum diagonals entry-major. One chunk is the table over all p sensors.
+    # Otherwise each chunk of 2^c masks adds its high members to the table
+    # over the low c sensors, into one buffer every chunk reuses, in
+    # ascending index as _coalition_sums does.
+    p = len(members)
     c = min(p, chunk.bit_length() - 1)
+    low = _low_table(members, c)
     if c == p:
-        table = _finish(kind, _low_table(entries, p))
+        table = _finish(kind, low)
     else:
-        low = _low_table(entries, c)
-        sums, read = np.empty_like(low), _buffer(kind, e, 1 << c)
+        sums = np.empty_like(low)
+        read = np.empty(low.shape) if kind is ValueFunctionKind.TRACE else None
         table = np.empty(1 << p)
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, 1 << p, 1 << c):
                 high = [i for i in range(c, p) if start >> i & 1]
                 if high:
-                    np.add(low, entries[high[0], :, None], out=sums)
+                    np.add(low, members[high[0]], out=sums)
                 for i in high[1:]:
-                    np.add(sums, entries[i, :, None], out=sums)
+                    np.add(sums, members[i], out=sums)
                 values = _finish(kind, sums if high else low, read)
                 table[start : start + (1 << c)] = values
     table[0] = 0.0

@@ -121,9 +121,9 @@ def ascending_sums(bank, members):
 
 def coalition_gramians(bank, masks):
     """Stacked ``(k, n, n)`` Gramians of a batch of bitmasks: the package's
-    entry-major coalition sums over whole bank entries, made coalition-major."""
+    entry-major coalition sums over whole bank entries, made contiguous."""
     sums = metrics._coalition_sums(bank.reshape(len(bank), -1), masks)
-    return np.ascontiguousarray(sums.T).reshape((-1,) + bank.shape[1:])
+    return np.ascontiguousarray(sums).reshape((-1,) + bank.shape[1:])
 
 
 def coalition_gramian(bank, mask):

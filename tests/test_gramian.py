@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -363,13 +364,13 @@ def assert_blocks_keep_the_bits(model):
 
 
 class TestPowerChain:
-    # The bank writes each power of A into its block as np.dot(previous, A,
+    # The bank writes each power of A into its block as previous.dot(A,
     # out=...); the bits are those of the chain power <- power @ A.
 
     @pytest.mark.parametrize("n", [1, 2, 3, 24, 64])
     @pytest.mark.parametrize("kind", ["random", "orthogonal"])
     def test_dot_into_the_block_equals_the_matmul_chain_bit_for_bit(self, n, kind):
-        # n = 1 takes np.dot's product of two scalars, not BLAS; blocks of 7
+        # n = 1 takes ndarray.dot's product of two scalars, not BLAS; blocks of 7
         # samples, each first power from the previous block's last, and a
         # one-sample block, whose out is its own input
         rng = np.random.default_rng(n)
@@ -388,9 +389,9 @@ class TestPowerChain:
             for start in range(0, 300, samples):
                 k = min(samples, 300 - start)
                 if start:
-                    np.dot(powers[-1], state, out=powers[0])
-                for before, after in zip(powers[: k - 1], powers[1:k]):
-                    np.dot(before, state, out=after)
+                    powers[-1].dot(state, out=powers[0])
+                for before, after in itertools.pairwise(powers[:k]):
+                    before.dot(state, out=after)
                 got.extend(powers[:k].copy())
             assert np.array(got).tobytes() == np.array(chain).tobytes(), samples
 

@@ -24,6 +24,7 @@ from conftest import (
     gramian_corpus,
     lti_models,
     over_the_cap_model,
+    traced_peak,
     wide_bank_corpus,
 )
 
@@ -172,10 +173,11 @@ class TestValueTable:
             batched = coalition_values(bank, kind, np.arange(2**p))
             assert table.tobytes() == batched.tobytes()
 
-    @pytest.mark.parametrize("n", [6, 9])
+    @pytest.mark.parametrize("n", [6, 9, 24])
     def test_table_matches_mask_batches_and_full_gramians(self, monkeypatch, n):
-        # n = 9 is past numpy's pairwise-sum threshold of 8; a 40-coalition
-        # budget gives 32-coalition table chunks and 40-mask batches
+        # n = 9 is past numpy's pairwise-sum threshold of 8 and n = 24 is the
+        # long-horizon workload's state size; a 40-coalition budget gives
+        # 32-coalition table chunks and 40-mask batches
         rng = np.random.default_rng(n)
         p = 10
         model = LtiModel(
@@ -193,6 +195,28 @@ class TestValueTable:
             want = evaluate(kind, full)
             want[0] = 0.0
             assert table.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("chunks", [1, 4])
+    def test_min_eig_table_holds_its_solve_buffers_and_the_table(
+        self, monkeypatch, chunks
+    ):
+        # a min-eig table sums whole members straight into the (2^c, n, n)
+        # stack it solves: the table itself in one chunk, the low table and
+        # one solve buffer in more. Beside them the peak holds the finiteness
+        # mask of one buffer (a byte an entry), the value table, and
+        # eigvalsh's per-matrix workspace. Entry-major partial tables would
+        # add 8 n (n + 1) / 2 bytes per coalition of a chunk.
+        p, n = 10, 24
+        rng = np.random.default_rng(1024)
+        state = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        sensors = tuple(Sensor(f"s{i}", rng.standard_normal(n)) for i in range(p))
+        bank = per_sensor_gramians(LtiModel(state, sensors, 30))
+        size = (1 << p) // chunks
+        monkeypatch.setattr(metrics, "_CHUNK_BYTES", size * 8 * n * n)
+        coalition_values(bank, MIN_EIG)
+        peak = traced_peak(coalition_values, bank, MIN_EIG)
+        buffers = 1 if chunks == 1 else 2
+        assert peak <= (8 * buffers + 1) * size * n * n + 8 * (1 << p) + (32 << 10)
 
     @pytest.mark.parametrize("p", [5, 13, 40, 70])
     def test_min_eig_batches_match_full_ascending_sums_bit_for_bit(

@@ -15,6 +15,7 @@ from sensor_shapley import (
     ValueFunctionKind,
     coalition_values,
     gramian,
+    metrics,
     pack_masks,
     per_sensor_gramians,
     shapley_exact,
@@ -41,12 +42,14 @@ def exact_digest(model, kind):
 def test_time_exact_path_times_the_exact_passes(kind):
     script = load_time_passes()
     model = script.stable_model(np.random.default_rng(4), 4)
-    *seconds, peak_mb, digest = script.timed_exact(kind, model)
-    assert min(seconds) >= 0.0 and peak_mb >= 0.0
+    *seconds, table_peak_mb, peak_mb, digest = script.timed_exact(kind, model)
+    assert len(seconds) == 3 and min(seconds) >= 0.0 and peak_mb >= 0.0
+    # the table's peak holds at least the 16 values it returns
+    assert table_peak_mb * 2**20 >= 16 * 8
     assert digest == exact_digest(model, kind)
 
 
-def test_time_coalition_sums_values_the_samplers_prefixes():
+def test_time_coalition_sums_values_the_samplers_prefixes(monkeypatch):
     script = load_time_passes()
     p = 5
     bank, orderings, masks = script.prefix_batch(p)
@@ -55,8 +58,16 @@ def test_time_coalition_sums_values_the_samplers_prefixes():
     prefixes = np.bitwise_or.accumulate(singles[orderings], axis=1)
     want, _ = _unique_rows(prefixes.reshape(-1, singles.shape[1]))
     np.testing.assert_array_equal(masks, want)
+    # the sums are timed over the lower triangles min-eig values read
+    summed = []
+    sums = metrics._coalition_sums
+    monkeypatch.setattr(
+        metrics, "_coalition_sums", lambda *args: summed.append(args) or sums(*args)
+    )
     count, sums_ms, values_ms, peak_mb, digest = script.timed_batch(p)
     assert count == len(want) and min(sums_ms, values_ms, peak_mb) >= 0.0
+    read = bank.reshape(p, -1)[:, metrics._read(ValueFunctionKind.MIN_EIGENVALUE, 6)]
+    assert summed and all(entries.tobytes() == read.tobytes() for entries, _ in summed)
     values = coalition_values(bank, ValueFunctionKind.MIN_EIGENVALUE, want)
     assert digest == hashlib.sha256(values.tobytes()).hexdigest()
 
