@@ -46,10 +46,12 @@ import ctypes
 import hashlib
 import io
 import json
+import os
 import re
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -401,9 +403,12 @@ def invocations(directory: Path) -> list[tuple[str, list[str]]]:
 
 
 def run(argv: list[str]) -> tuple[str, str, str]:
-    """One in-process CLI run: (exit code, stdout, stderr plus warnings)."""
+    """One in-process CLI run: (exit code, stdout, stderr plus warnings).
+    argparse wraps its usage text to ``COLUMNS`` (else to the terminal), so
+    the run pins the 80 columns the manifests were taken at."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    columns = mock.patch.dict(os.environ, COLUMNS="80")
+    with columns, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:

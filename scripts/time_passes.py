@@ -8,11 +8,12 @@ each peak comes from a call of its own and every timed call runs untraced.
 
 * The exact path, for the trace at p = 16, 20, 22 and 24 and the minimum
   eigenvalue at p = 16, 20 and 22 (n = 6, h = 10), each size in a fresh
-  interpreter: the times of the value table (``coalition_values``), the
-  contraction (``shapley_from_table``) and the axiom checks
-  (``verify_axioms``), the peaks of a second table and a second
-  contraction, the process's ``ru_maxrss``, and the sha256 of the table
-  followed by φ.
+  interpreter: the median and the quartiles, over ``EXACT_REPEATS`` calls
+  after a warm-up, of the times of the value table (``coalition_values``),
+  the contraction (``shapley_from_table``) and the axiom checks
+  (``verify_axioms``); the peaks of one more table and contraction, the
+  process's ``ru_maxrss``, and the sha256 of the table followed by φ, which
+  every repeat must reproduce.
 * The per-sensor Gramian bank (``per_sensor_gramians``) of a model with an
   orthogonal state matrix, at perfbench's (p, n, h) = (10, 6, 10), (40, 6, 10)
   and (8, 24, 1000), plus (40, 24, 1000), (600, 64, 2), whose sensors take
@@ -66,7 +67,7 @@ from sensor_shapley import (
     per_sensor_gramians,
     verify_axioms,
 )
-from sensor_shapley.shapley import _attribution, shapley_from_table
+from sensor_shapley.shapley import _attribution, _unique_rows, shapley_from_table
 
 BANK_SHAPES = ((10, 6, 10), (40, 6, 10), (8, 24, 1000), (40, 24, 1000), (600, 64, 2),
                (3, 6, 5000), (12, 24, 1000))
@@ -75,6 +76,8 @@ SAMPLED_COUNTS = (25, 40, 70, 100)
 EXACT_SIZES = (("trace", 16), ("trace", 20), ("trace", 22), ("trace", 24),
                ("min-eig", 16), ("min-eig", 20), ("min-eig", 22))
 STATES, HORIZON, PERMUTATIONS, REPEATS = 6, 10, 100, 15
+# Three calls: the quartiles of three times are their least, median and most.
+EXACT_REPEATS = 3
 
 
 def timed(call):
@@ -84,11 +87,14 @@ def timed(call):
     return result, time.perf_counter() - start
 
 
+def quartiles(times) -> list[float]:
+    # The first quartile, the median and the third quartile of the times.
+    return statistics.quantiles(times, n=4)
+
+
 def quartiles_ms(call) -> list[float]:
-    # The first quartile, the median and the third quartile of the call's
-    # wall times, in ms.
-    times = [timed(call)[1] for _ in range(REPEATS)]
-    return [1e3 * q for q in statistics.quantiles(times, n=4)]
+    # The quartiles of the call's wall times, in ms.
+    return [1e3 * q for q in quartiles([timed(call)[1] for _ in range(REPEATS)])]
 
 
 def median_ms(call) -> float:
@@ -152,7 +158,7 @@ def prefix_batch(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     orderings = rng.permuted(np.tile(np.arange(p), (PERMUTATIONS, 1)), axis=1)
     singles = pack_masks(np.eye(p, dtype=bool))
     prefixes = np.bitwise_or.accumulate(singles[orderings], axis=1)
-    masks = np.unique(prefixes.reshape(-1, singles.shape[1]), axis=0)
+    masks, _ = _unique_rows(prefixes.reshape(-1, singles.shape[1]))
     return bank, orderings, masks
 
 
@@ -170,39 +176,48 @@ def timed_batch(p: int):
 
 
 def timed_exact(kind: ValueFunctionKind, model: LtiModel):
-    # The table, contraction and axioms times in s, the peaks of a second
-    # table and a second contraction in MB and the sha256 of the table
-    # followed by φ.
+    # The quartiles of the table, contraction and axioms times in s over
+    # EXACT_REPEATS calls, the peaks of one more table and contraction in MB
+    # and the sha256 of the table followed by φ, the same in every repeat.
     p = model.sensor_count
     bank = per_sensor_gramians(model)
-    table, table_s = timed(lambda: coalition_values(bank, kind))
-    phi, contraction_s = timed(lambda: shapley_from_table(table, p))
+    times, digests = [], set()
+    for _ in range(EXACT_REPEATS):
+        table, table_s = timed(lambda: coalition_values(bank, kind))
+        phi, contraction_s = timed(lambda: shapley_from_table(table, p))
+        # the result shapley_exact builds from the same table and values
+        singles = table[1 << np.arange(p)]
+        method = AttributionMethod("exact")
+        result = _attribution(model, kind, bank, method, phi, singles, table[-1], table)
+        _, axioms_s = timed(lambda: verify_axioms(result))
+        times.append((table_s, contraction_s, axioms_s))
+        # hashed in place: a bytes copy of the table would set the peak RSS
+        digest = hashlib.sha256(table)
+        digest.update(phi)
+        digests.add(digest.hexdigest())
+        # the next table once this one is freed, which keeps the peak RSS
+        del table, result
+    assert len(digests) == 1, "a repeat's table or φ differs from the first's"
+    table, table_peak_mb = traced_peak(lambda: coalition_values(bank, kind))
     _, peak_mb = traced_peak(lambda: shapley_from_table(table, p))
-    # the result shapley_exact builds from the same table and values
-    singles = table[1 << np.arange(p)]
-    method = AttributionMethod("exact")
-    result = _attribution(model, kind, bank, method, phi, singles, table[-1], table)
-    _, axioms_s = timed(lambda: verify_axioms(result))
-    # hashed in place: a bytes copy of the table would set the peak RSS
-    digest = hashlib.sha256(table)
-    digest.update(phi)
-    # the second table once the first is freed, which keeps the peak RSS
-    del table, result
-    _, table_peak_mb = traced_peak(lambda: coalition_values(bank, kind))
-    return table_s, contraction_s, axioms_s, table_peak_mb, peak_mb, digest.hexdigest()
+    table_s, contraction_s, axioms_s = map(quartiles, zip(*times))
+    return table_s, contraction_s, axioms_s, table_peak_mb, peak_mb, digests.pop()
 
 
 def run_size(metric: str, p: int) -> None:
     kind = ValueFunctionKind(metric)
     # a small warm-up pays the one-time costs (BLAS start-up, first calls)
     timed_exact(kind, stable_model(np.random.default_rng(4), 4))
-    table_s, contraction_s, axioms_s, table_peak_mb, peak_mb, digest = timed_exact(
+    table, contraction, axioms, table_peak_mb, peak_mb, digest = timed_exact(
         kind, stable_model(np.random.default_rng(p), p)
     )
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    (t1, t2, t3), (c1, c2, c3) = table, contraction
+    a1, a2, a3 = (1e3 * t for t in axioms)
     print(
-        f"{metric:<7s} p={p:<2d}  table {table_s:7.3f} s  "
-        f"contraction {contraction_s:6.3f} s  axioms {1e3 * axioms_s:7.2f} ms  "
+        f"{metric:<7s} p={p:<2d}  table {t2:7.3f} s ({t1:.3f}-{t3:.3f})  "
+        f"contraction {c2:6.3f} s ({c1:.3f}-{c3:.3f})  "
+        f"axioms {a2:7.2f} ms ({a1:.2f}-{a3:.2f})  "
         f"table peak {table_peak_mb:6.1f} MB  contraction peak {peak_mb:6.1f} MB  "
         f"maxrss {rss_mb:6.1f} MB  sha256 {digest}",
         flush=True,

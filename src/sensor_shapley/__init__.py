@@ -18,7 +18,6 @@ from .metrics import (
     coalition_values,
     evaluate,
     pack_masks,
-    value_table,
 )
 from .model import (
     ENUMERATION_CAP,
@@ -26,7 +25,6 @@ from .model import (
     InvalidModel,
     LtiModel,
     Sensor,
-    validate_model,
 )
 from .report import (
     parse_model_document,
@@ -39,7 +37,6 @@ from .shapley import (
     AttributionResult,
     AxiomReport,
     shapley_exact,
-    shapley_permutation_oracle,
     shapley_sampled,
     verify_axioms,
 )
@@ -66,9 +63,6 @@ __all__ = [
     "render_model_document",
     "render_table",
     "shapley_exact",
-    "shapley_permutation_oracle",
     "shapley_sampled",
-    "validate_model",
-    "value_table",
     "verify_axioms",
 ]

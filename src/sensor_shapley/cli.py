@@ -149,10 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(message: str) -> None:
-    print(f"sensor-shapley: error: {message}", file=sys.stderr)
-
-
 def _load_document(args: argparse.Namespace) -> ModelDocument:
     if args.scenario is not None:
         doc = scenario_document(args.scenario)
@@ -173,14 +169,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         result = shapley_sampled(model, kind, args.sample, args.seed)
         axioms = None
     else:
-        try:
-            result = shapley_exact(model, kind)
-        except EnumerationCapExceeded as err:
-            _fail(str(err))
-            return 3
-        except EfficiencyViolation as err:
-            _fail(str(err))
-            return 4
+        result = shapley_exact(model, kind)
         axioms = verify_axioms(result)
     observable = is_observable(result.grand_gramian, args.tolerance)
     render = render_json if args.format == "json" else render_table
@@ -225,10 +214,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check":
             return _cmd_check(args)
         return _cmd_emit(args)
-    except (OSError, ValueError, MemoryError) as err:
-        # ModelDocumentError is a ValueError
-        _fail(str(err))
-        return 2
+    except (OSError, ValueError, MemoryError, EfficiencyViolation) as err:
+        # ModelDocumentError and EnumerationCapExceeded are ValueErrors
+        print(f"sensor-shapley: error: {err}", file=sys.stderr)
+        return {EnumerationCapExceeded: 3, EfficiencyViolation: 4}.get(type(err), 2)
 
 
 if __name__ == "__main__":

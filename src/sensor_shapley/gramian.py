@@ -55,12 +55,20 @@ _BANK_BYTES = 1 << 19
 _REDUCED_SAMPLES = 8
 
 
+def _require_finite(values: np.ndarray) -> None:
+    # The one check that Gramian entries are finite. Any NaN or inf makes the
+    # sum non-finite; only then is a mask built, as finite ones may overflow it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = values.sum()
+    if not np.isfinite(total) and not np.isfinite(values).all():
+        raise ValueError("Gramian contains non-finite entries")
+
+
 def _eigenvalues(gramians: np.ndarray) -> np.ndarray:
     # The ascending eigenvalues of an (n, n) Gramian or each of a (k, n, n)
-    # stack, after the one check on Gramians (finite entries, the PSD
+    # stack, after the checks on Gramians (_require_finite, the PSD
     # tolerance). The min-eig metric, is_observable and check read them here.
-    if not np.all(np.isfinite(gramians)):
-        raise ValueError("Gramian contains non-finite entries")
+    _require_finite(gramians)
     eigs = np.linalg.eigvalsh(gramians)
     lo = eigs[..., 0]
     beyond = lo < -np.maximum(PSD_RTOL * eigs[..., -1], PSD_FLOOR)

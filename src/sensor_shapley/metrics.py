@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .gramian import _eigenvalues, per_sensor_gramians
+from .gramian import _eigenvalues, _require_finite, per_sensor_gramians
 from .model import LtiModel, require_enumerable
 
 __all__ = [
@@ -55,8 +55,9 @@ def evaluate(kind: ValueFunctionKind, gramians: np.ndarray) -> np.ndarray:
 
     Returns one value per Gramian (a 0-d array for a single ``(n, n)``
     input); the zero Gramian is worth exactly 0 for both metrics. Raises
-    ``ValueError`` for non-finite entries the metric reads, a trace beyond
-    the float range or a minimum eigenvalue below the PSD tolerance.
+    ``ValueError`` for non-finite entries the metric reads (the one check,
+    ``gramian._require_finite``), a trace beyond the float range or a
+    minimum eigenvalue below the PSD tolerance.
     """
     if kind is ValueFunctionKind.TRACE:
         return _traces(np.diagonal(gramians, axis1=-2, axis2=-1))
@@ -78,14 +79,13 @@ def _read(kind: ValueFunctionKind, n: int) -> np.ndarray:
 
 def _traces(diagonals: np.ndarray) -> np.ndarray:
     # The sum of each (..., n) diagonal over its last axis, as np.trace
-    # computes it (pairwise from n = 8, so another axis would move bits). A
-    # diagonal of PSD sums bounds every off-diagonal entry
-    # (|W_ij| <= sqrt(W_ii W_jj)), so checking it alone catches a non-finite sum.
-    if not np.all(np.isfinite(diagonals)):
-        raise ValueError("Gramian contains non-finite entries")
-    with np.errstate(over="ignore"):
+    # computes it (pairwise from n = 8, so another axis would move bits). A PSD
+    # sum's diagonal bounds its other entries (|W_ij| <= sqrt(W_ii W_jj)), so
+    # it alone is checked, once a trace is not finite, as any NaN or inf makes it.
+    with np.errstate(over="ignore", invalid="ignore"):
         traces = diagonals.sum(-1)
     if not np.all(np.isfinite(traces)):
+        _require_finite(diagonals)
         raise ValueError(
             "Gramian trace overflows: its diagonal sums beyond the float range"
         )

@@ -16,12 +16,15 @@ from sensor_shapley import (
     ValueFunctionKind,
     per_sensor_gramians,
     shapley_exact,
-    shapley_permutation_oracle,
     shapley_sampled,
-    value_table,
 )
+from sensor_shapley.metrics import value_table
 from sensor_shapley.model import LtiModel, Sensor
-from sensor_shapley.shapley import _observability_matrix, shapley_from_table
+from sensor_shapley.shapley import (
+    _observability_matrix,
+    shapley_from_table,
+    shapley_permutation_oracle,
+)
 
 from conftest import (
     attribution_corpus,

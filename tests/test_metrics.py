@@ -11,11 +11,12 @@ from sensor_shapley import (
     ValueFunctionKind,
     coalition_values,
     evaluate,
+    is_observable,
     metrics,
     pack_masks,
     per_sensor_gramians,
-    value_table,
 )
+from sensor_shapley.metrics import value_table
 
 from conftest import (
     ascending_sums,
@@ -95,6 +96,40 @@ class TestEvaluate:
         for kind in (TRACE, MIN_EIG):
             with pytest.raises(ValueError, match="non-finite"):
                 evaluate(kind, bad)
+
+    def test_finite_entries_summing_past_the_float_range_are_accepted(self):
+        # the one finiteness check screens by the sum, which overflows here,
+        # so its mask decides: every entry is finite
+        stack = np.array([np.diag([1e308, 1e300]), np.diag([1e300, 1e308])])
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(stack.sum())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mins = evaluate(MIN_EIG, stack)
+            assert is_observable(stack).tolist() == [True, True]
+            traces = evaluate(TRACE, stack)
+        assert mins.tobytes() == np.linalg.eigvalsh(stack)[:, 0].tobytes()
+        assert traces.tobytes() == np.trace(stack, axis1=1, axis2=2).tobytes()
+
+    @pytest.mark.parametrize(
+        "where, value", [((1, 0, 1), np.inf), ((1, 1, 1), np.nan)], ids=["inf", "nan"]
+    )
+    def test_one_non_finite_entry_is_refused_with_one_message(self, where, value):
+        # an inf in the upper triangle, which eigvalsh does not read, and a NaN
+        # on the diagonal; the trace reads only the diagonal
+        stack = np.array([np.eye(2), np.eye(2)])
+        stack[where] = value
+        checks = [lambda: evaluate(MIN_EIG, stack), lambda: is_observable(stack)]
+        if np.isnan(value):
+            checks.append(lambda: evaluate(TRACE, stack))
+        else:
+            assert evaluate(TRACE, stack).tolist() == [2.0, 2.0]
+        message = "^Gramian contains non-finite entries$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for check in checks:
+                with pytest.raises(ValueError, match=message):
+                    check()
 
     def test_indefinite_gramian_rejected(self):
         with pytest.raises(ValueError, match="positive semidefinite"):
@@ -202,10 +237,11 @@ class TestValueTable:
     ):
         # a min-eig table sums whole members straight into the (2^c, n, n)
         # stack it solves: the table itself in one chunk, the low table and
-        # one solve buffer in more. Beside them the peak holds the finiteness
-        # mask of one buffer (a byte an entry), the value table, and
-        # eigvalsh's per-matrix workspace. Entry-major partial tables would
-        # add 8 n (n + 1) / 2 bytes per coalition of a chunk.
+        # one solve buffer in more. Beside them the peak holds the (2^c, n)
+        # eigenvalues of one buffer, the value table, and eigvalsh's
+        # per-matrix workspace; the finiteness check screens by a sum, not a
+        # mask. Entry-major partial tables would add 8 n (n + 1) / 2 bytes per
+        # coalition of a chunk.
         p, n = 10, 24
         rng = np.random.default_rng(1024)
         state = np.linalg.qr(rng.standard_normal((n, n)))[0]
@@ -216,7 +252,8 @@ class TestValueTable:
         coalition_values(bank, MIN_EIG)
         peak = traced_peak(coalition_values, bank, MIN_EIG)
         buffers = 1 if chunks == 1 else 2
-        assert peak <= (8 * buffers + 1) * size * n * n + 8 * (1 << p) + (32 << 10)
+        held = 8 * buffers * size * n * n + 8 * size * n + 8 * (1 << p)
+        assert peak <= held + (32 << 10)
 
     @pytest.mark.parametrize("p", [5, 13, 40, 70])
     def test_min_eig_batches_match_full_ascending_sums_bit_for_bit(

@@ -8,9 +8,8 @@ from sensor_shapley import (
     InvalidModel,
     LtiModel,
     Sensor,
-    validate_model,
 )
-from sensor_shapley.model import require_enumerable
+from sensor_shapley.model import require_enumerable, validate_model
 
 from conftest import over_the_cap_model
 

@@ -42,11 +42,32 @@ def exact_digest(model, kind):
 def test_time_exact_path_times_the_exact_passes(kind):
     script = load_time_passes()
     model = script.stable_model(np.random.default_rng(4), 4)
-    *seconds, table_peak_mb, peak_mb, digest = script.timed_exact(kind, model)
-    assert len(seconds) == 3 and min(seconds) >= 0.0 and peak_mb >= 0.0
+    tables = []
+    values = script.coalition_values
+    script.coalition_values = lambda *args: tables.append(args) or values(*args)
+    *passes, table_peak_mb, peak_mb, digest = script.timed_exact(kind, model)
+    # each pass's quartiles over the repeats, then one more, traced, table
+    assert script.EXACT_REPEATS >= 3 and len(tables) == script.EXACT_REPEATS + 1
+    assert len(passes) == 3 and peak_mb >= 0.0
+    assert all(0.0 <= q1 <= median <= q3 for q1, median, q3 in passes)
     # the table's peak holds at least the 16 values it returns
     assert table_peak_mb * 2**20 >= 16 * 8
     assert digest == exact_digest(model, kind)
+
+
+def test_time_exact_path_refuses_a_repeat_with_other_bits():
+    script = load_time_passes()
+    model = script.stable_model(np.random.default_rng(4), 4)
+    calls = []
+    values = script.coalition_values
+
+    def drifting(*args):
+        calls.append(args)
+        return values(*args) + (len(calls) == 2)
+
+    script.coalition_values = drifting
+    with pytest.raises(AssertionError, match="differs from the first"):
+        script.timed_exact(ValueFunctionKind.TRACE, model)
 
 
 def test_time_coalition_sums_values_the_samplers_prefixes(monkeypatch):
@@ -128,6 +149,18 @@ def test_count_lines_splits_every_line_of_each_module():
         assert counts["code"] > 0, path.name
     sample = '"""Doc.\n\nMore."""\n\n# note\nx = 1  # trailing\n'
     assert script.count(sample) == {"code": 1, "docstring": 3, "comment": 1, "blank": 1}
+
+
+def test_same_bits_runs_wrap_usage_text_to_the_manifests_80_columns(monkeypatch):
+    # argparse wraps its usage text to COLUMNS, so a wide terminal would move
+    # the stderr bits of every flag error
+    corpus = load_script("same_bits_corpus")
+    monkeypatch.setenv("COLUMNS", "200")
+    run_id = "flag-sample-zero"
+    line = corpus.manifest_line(run_id, *corpus.run(corpus.FLAG_ERRORS[run_id]))
+    _, expected = corpus.read_manifest(corpus.manifest_path())
+    assert line == expected[run_id]
+    assert os.environ["COLUMNS"] == "200"
 
 
 @pytest.mark.parametrize("coretype", [None, "Haswell"])

@@ -18,13 +18,12 @@ from sensor_shapley import (
     ValueFunctionKind,
     per_sensor_gramians,
     shapley_exact,
-    shapley_permutation_oracle,
     shapley_sampled,
-    value_table,
     verify_axioms,
 )
 from sensor_shapley import shapley
-from sensor_shapley.shapley import shapley_from_table
+from sensor_shapley.metrics import value_table
+from sensor_shapley.shapley import shapley_from_table, shapley_permutation_oracle
 
 from conftest import attribution_corpus, edge_models, over_the_cap_model, traced_peak
 
